@@ -93,19 +93,31 @@ std::uint64_t ShaperGate::cancel(std::uint64_t ticket) {
   return 0;
 }
 
-Clock::time_point ShaperGate::quantum_release(std::size_t bytes) {
+ShaperGate::Burst ShaperGate::claim_burst(std::size_t bytes,
+                                          Clock::time_point now) {
   const util::MutexLock lock(mutex_);
-  const double quantum_kilobits = static_cast<double>(bytes) * 8.0 / 1000.0;
-  const double release_session_s =
-      trace_->transfer_end_time(sent_kilobits_ + quantum_kilobits, 0.0);
-  return epoch_ + std::chrono::duration_cast<Clock::duration>(
-                      std::chrono::duration<double>(release_session_s /
-                                                    speedup_));
-}
-
-void ShaperGate::note_sent(std::size_t bytes) {
-  const util::MutexLock lock(mutex_);
-  sent_kilobits_ += static_cast<double>(bytes) * 8.0 / 1000.0;
+  Burst burst;
+  while (burst.bytes < bytes) {
+    // Each quantum is released once the trace's cumulative capacity since
+    // the epoch reaches sent + quantum (TraceShaper::send's arithmetic).
+    const std::size_t quantum =
+        std::min(TraceShaper::kQuantumBytes, bytes - burst.bytes);
+    const double quantum_kilobits =
+        static_cast<double>(quantum) * 8.0 / 1000.0;
+    const double release_session_s =
+        trace_->transfer_end_time(sent_kilobits_ + quantum_kilobits, 0.0);
+    const Clock::time_point release =
+        epoch_ + std::chrono::duration_cast<Clock::duration>(
+                     std::chrono::duration<double>(release_session_s /
+                                                   speedup_));
+    if (release > now) {
+      if (burst.bytes == 0) burst.next_release = release;
+      break;
+    }
+    sent_kilobits_ += quantum_kilobits;
+    burst.bytes += quantum;
+  }
+  return burst;
 }
 
 // --- Shard -----------------------------------------------------------------
@@ -182,6 +194,7 @@ class EpollServer::Shard {
   }
 
   std::size_t table_size() const { return table_size_.load(); }
+  std::size_t timer_count() const { return timer_count_.load(); }
 
  private:
   struct Connection;
@@ -199,7 +212,7 @@ class EpollServer::Shard {
   struct TimerEntry {
     Clock::time_point when;
     std::uint64_t id = 0;
-    std::uint64_t generation = 0;
+    std::uint64_t generation = 0;  ///< kResume: the connection's generation
     TimerKind kind = TimerKind::kDeadline;
     bool operator>(const TimerEntry& other) const {
       return when > other.when;
@@ -219,7 +232,7 @@ class EpollServer::Shard {
       kQuantumWait,   ///< holding the link, next quantum not yet released
       kStallSleep,    ///< mid-body fault stall (link released)
       kWriteHead,     ///< flushing the pre-serialized head
-      kWriteBody,     ///< flushing body bytes (shaped: current quantum)
+      kWriteBody,     ///< flushing body bytes (shaped: the claimed burst)
     } state = State::kReadHeaders;
 
     std::string in;          ///< unparsed input
@@ -237,7 +250,7 @@ class EpollServer::Shard {
     bool stalled = false;    ///< the one mid-body stall already happened
     bool shutdown_after = false;  ///< truncating fault: hard cut at the end
     bool holds_link = false;
-    std::size_t quantum_left = 0;
+    std::size_t burst_left = 0;  ///< claimed burst bytes not yet written
 
     bool want_out = false;   ///< EPOLLOUT currently requested
     bool read_ready = false; ///< input arrived while mid-response
@@ -245,7 +258,10 @@ class EpollServer::Shard {
 
     Clock::time_point deadline{};
     int deadline_window_ms = 0;  ///< 0 = disarmed
-    std::uint64_t generation = 0;
+    /// Instant of the connection's one queued kDeadline entry; max() when
+    /// none is queued. An entry popping at any other instant is superseded.
+    Clock::time_point deadline_queued = Clock::time_point::max();
+    std::uint64_t generation = 0;  ///< tags resume timers
     Clock::time_point request_start{};
   };
 
@@ -282,6 +298,7 @@ class EpollServer::Shard {
       }
       if (stopping_) break;
       process_timers();
+      timer_count_.store(timers_.size());
     }
     close_all();
   }
@@ -361,7 +378,6 @@ class EpollServer::Shard {
          connection.state == Connection::State::kAwaitLink)) {
       server_->forward_grant(server_->gate_->cancel(connection.id));
     }
-    ++connection.generation;  // invalidate queued timers
     (void)::epoll_ctl(epoll_fd_.get(), EPOLL_CTL_DEL, connection.stream.fd(),
                       nullptr);
     connection.stream.shutdown_both();
@@ -384,20 +400,29 @@ class EpollServer::Shard {
 
   // --- timers --------------------------------------------------------------
 
+  /// Starts a fresh deadline window. A connection keeps one queued deadline
+  /// entry: it re-checks the field when it pops, so only a deadline that
+  /// moved earlier than the queued instant (a shorter window, such as a
+  /// telemetry write deadline) needs a new entry, which supersedes the old.
   void arm_deadline(Connection& connection) {
-    if (connection.deadline_window_ms <= 0) return;
-    connection.deadline =
-        Clock::now() + std::chrono::milliseconds(connection.deadline_window_ms);
-    timers_.push(TimerEntry{connection.deadline, connection.id,
-                            ++connection.generation, TimerKind::kDeadline});
+    touch_deadline(connection);
+    if (connection.deadline_window_ms > 0 &&
+        connection.deadline < connection.deadline_queued) {
+      queue_deadline(connection);
+    }
   }
 
-  /// Pushes the deadline out after I/O progress (no new heap entry; the
-  /// queued one re-checks against the field when it pops).
+  /// Pushes the deadline out after I/O progress (no new heap entry).
   void touch_deadline(Connection& connection) {
     if (connection.deadline_window_ms <= 0) return;
     connection.deadline =
         Clock::now() + std::chrono::milliseconds(connection.deadline_window_ms);
+  }
+
+  void queue_deadline(Connection& connection) {
+    connection.deadline_queued = connection.deadline;
+    timers_.push(TimerEntry{connection.deadline, connection.id, 0,
+                            TimerKind::kDeadline});
   }
 
   void schedule_resume(Connection& connection, Clock::time_point when) {
@@ -411,20 +436,20 @@ class EpollServer::Shard {
       const TimerEntry entry = timers_.top();
       timers_.pop();
       Connection* connection = find(entry.id);
-      if (connection == nullptr || connection->generation != entry.generation) {
-        continue;  // stale: connection gone or state moved on
+      if (connection == nullptr) continue;  // stale: connection gone
+      if (entry.kind == TimerKind::kResume) {
+        if (connection->generation == entry.generation) on_resume(*connection);
+        continue;  // otherwise stale: the state moved on
       }
-      if (entry.kind == TimerKind::kDeadline) {
-        if (connection->deadline > now) {
-          // Progress since the entry was queued: re-arm at the new instant.
-          timers_.push(TimerEntry{connection->deadline, entry.id,
-                                  entry.generation, TimerKind::kDeadline});
-          continue;
-        }
-        on_deadline(*connection);
-      } else {
-        on_resume(*connection);
+      if (entry.when != connection->deadline_queued) continue;  // superseded
+      connection->deadline_queued = Clock::time_point::max();
+      if (connection->deadline_window_ms <= 0) continue;  // disarmed
+      if (connection->deadline > now) {
+        // Progress since the entry was queued: re-arm at the new instant.
+        queue_deadline(*connection);
+        continue;
       }
+      on_deadline(*connection);
     }
   }
 
@@ -450,7 +475,11 @@ class EpollServer::Shard {
         return;
       }
       default:
-        return;  // waits are governed by resume timers, not deadlines
+        // The shard itself is waiting (first-byte delay, link queue, trace
+        // release, stall), not the peer: restart the window so the wait
+        // never counts against it.
+        arm_deadline(connection);
+        return;
     }
   }
 
@@ -466,8 +495,7 @@ class EpollServer::Shard {
       case Connection::State::kStallSleep:
         // Re-acquire the link; the stall released it (like the threaded
         // engine dropping the shaper mutex while it sleeps).
-        if (server_->gate_ == nullptr ||
-            server_->gate_->acquire(connection.id)) {
+        if (server_->gate_->acquire(connection.id)) {
           connection.holds_link = true;
           connection.state = Connection::State::kWriteBody;
           pump_shaped(connection);
@@ -509,11 +537,15 @@ class EpollServer::Shard {
     if ((events & EPOLLOUT) != 0) {
       if (connection->state == Connection::State::kWriteHead ||
           connection->state == Connection::State::kWriteBody) {
-        if (connection->response.shaped && connection->head_sent >=
-                                               connection->response.head.size()) {
-          pump_shaped(*connection);
-        } else {
+        // A paced response resumes on its own path even when only part of
+        // its head went out: pump_plain would writev the whole body past
+        // the link and the trace allowance.
+        if (!paced(*connection)) {
           pump_plain(*connection);
+        } else if (connection->state == Connection::State::kWriteHead) {
+          pump_head_then_shaped(*connection);
+        } else {
+          pump_shaped(*connection);
         }
       }
     }
@@ -522,10 +554,15 @@ class EpollServer::Shard {
   // --- read path -----------------------------------------------------------
 
   void handle_readable(Connection& connection) {
+    const std::uint64_t id = connection.id;
     char buffer[8192];
     while (connection.state == Connection::State::kReadHeaders ||
            connection.state == Connection::State::kReadBody) {
-      if (try_parse(connection)) continue;
+      const bool parsed = try_parse(connection);
+      // The parse may have planned a response that finished and closed the
+      // connection (400, 503, reset, truncation, Connection: close).
+      if (find(id) == nullptr) return;
+      if (parsed) continue;
       if (connection.state != Connection::State::kReadHeaders &&
           connection.state != Connection::State::kReadBody) {
         return;
@@ -657,7 +694,6 @@ class EpollServer::Shard {
 
   void deliver(Connection& connection, Response response,
                Response::Kind kind) {
-    ++connection.generation;  // cancel any read-phase timer
     connection.responding = true;
     connection.response = std::move(response);
     connection.response_kind = kind;
@@ -688,7 +724,7 @@ class EpollServer::Shard {
     connection.head_sent = 0;
     connection.body_sent = 0;
     connection.stalled = false;
-    connection.quantum_left = 0;
+    connection.burst_left = 0;
     connection.deadline_window_ms =
         connection.response.write_deadline_ms > 0
             ? connection.response.write_deadline_ms
@@ -710,11 +746,17 @@ class EpollServer::Shard {
   void start_writing(Connection& connection) {
     connection.state = Connection::State::kWriteHead;
     arm_deadline(connection);
-    if (connection.response.shaped && !connection.body.empty()) {
+    if (paced(connection)) {
       pump_head_then_shaped(connection);
     } else {
       pump_plain(connection);
     }
+  }
+
+  /// Whether the body goes through the shaper gate (the emulated link).
+  bool paced(const Connection& connection) const {
+    return connection.response.shaped && !connection.body.empty() &&
+           server_->gate_ != nullptr;
   }
 
   // --- write path ----------------------------------------------------------
@@ -798,22 +840,19 @@ class EpollServer::Shard {
       return;
     }
     connection.state = Connection::State::kWriteBody;
-    if (server_->gate_ == nullptr) {
-      pump_plain(connection);
-      return;
-    }
     if (connection.holds_link || server_->gate_->acquire(connection.id)) {
       connection.holds_link = true;
       pump_shaped(connection);
     } else {
       connection.state = Connection::State::kAwaitLink;
-      ++connection.generation;
     }
   }
 
-  /// Paced body writes while holding the link: each TraceShaper-sized
-  /// quantum is released by the gate's trace allowance; release instants in
-  /// the future become resume timers instead of sleeps.
+  /// Paced body writes while holding the link: the gate charges every
+  /// quantum the trace has already released as one burst, written with one
+  /// send (a partial write continues on EPOLLOUT without claiming again).
+  /// When no quantum is due, its release instant becomes a resume timer
+  /// instead of a sleep.
   void pump_shaped(Connection& connection) {
     ShaperGate* gate = server_->gate_;
     while (true) {
@@ -827,7 +866,6 @@ class EpollServer::Shard {
         // threaded engine drops the shaper mutex while it sleeps).
         connection.stalled = true;
         connection.holds_link = false;
-        connection.quantum_left = 0;
         server_->forward_grant(gate->release());
         connection.state = Connection::State::kStallSleep;
         schedule_resume(connection,
@@ -837,7 +875,7 @@ class EpollServer::Shard {
                                     connection.response.stall_wall_s)));
         return;
       }
-      if (connection.quantum_left == 0) {
+      if (connection.burst_left == 0) {
         // The stall point is a quantum boundary, like the threaded split
         // into two separate shaper sends.
         std::size_t limit = connection.body.size();
@@ -845,24 +883,22 @@ class EpollServer::Shard {
             connection.stall_at != std::string_view::npos) {
           limit = std::min(limit, connection.stall_at);
         }
-        const std::size_t quantum = std::min(TraceShaper::kQuantumBytes,
-                                             limit - connection.body_sent);
-        const Clock::time_point release = gate->quantum_release(quantum);
-        if (release > Clock::now()) {
+        const ShaperGate::Burst burst =
+            gate->claim_burst(limit - connection.body_sent, Clock::now());
+        if (burst.bytes == 0) {
           connection.state = Connection::State::kQuantumWait;
-          schedule_resume(connection, release);
+          schedule_resume(connection, burst.next_release);
           return;
         }
-        gate->note_sent(quantum);
-        connection.quantum_left = quantum;
+        connection.burst_left = burst.bytes;
       }
       const ssize_t n =
           ::send(connection.stream.fd(),
                  connection.body.data() + connection.body_sent,
-                 connection.quantum_left, MSG_NOSIGNAL);
+                 connection.burst_left, MSG_NOSIGNAL);
       if (n > 0) {
         connection.body_sent += static_cast<std::size_t>(n);
-        connection.quantum_left -= static_cast<std::size_t>(n);
+        connection.burst_left -= static_cast<std::size_t>(n);
         touch_deadline(connection);
         continue;
       }
@@ -928,7 +964,6 @@ class EpollServer::Shard {
     }
     // Keep-alive: back to reading; pipelined bytes (buffered here or in the
     // kernel while we were responding) are picked up immediately.
-    ++connection.generation;
     connection.state = Connection::State::kReadHeaders;
     connection.scan = 0;
     connection.deadline_window_ms = server_->options_.idle_timeout_ms;
@@ -953,6 +988,7 @@ class EpollServer::Shard {
                       std::greater<TimerEntry>>
       timers_;
   std::atomic<std::size_t> table_size_{0};
+  std::atomic<std::size_t> timer_count_{0};  ///< timers_.size() per loop
 };
 
 // --- EpollServer -----------------------------------------------------------
@@ -1066,6 +1102,12 @@ std::size_t EpollServer::drain(double deadline_s) {
 std::size_t EpollServer::tracked_connections() const {
   std::size_t total = 0;
   for (const auto& shard : shards_) total += shard->table_size();
+  return total;
+}
+
+std::size_t EpollServer::queued_timers() const {
+  std::size_t total = 0;
+  for (const auto& shard : shards_) total += shard->timer_count();
   return total;
 }
 

@@ -28,11 +28,20 @@ namespace abr::net {
 /// cumulative byte allowance (TraceShaper::send). This class reproduces
 /// that discipline for the reactor shards without ever blocking a reactor
 /// thread: a connection acquires the link (FIFO — queued tickets are served
-/// in order), asks when its next quantum may be written, and the shard
-/// schedules a timer instead of sleeping. The quantum size and the
-/// allowance arithmetic are TraceShaper's, byte for byte.
+/// in order), claims every quantum the trace has already released as one
+/// burst, and the shard schedules a timer instead of sleeping when none is
+/// due. The quantum size and the allowance arithmetic are TraceShaper's,
+/// byte for byte.
 class ShaperGate {
  public:
+  /// What claim_burst() charged.
+  struct Burst {
+    /// Bytes charged to the allowance; 0 when no quantum is due yet.
+    std::size_t bytes = 0;
+    /// When bytes is 0: the instant the first quantum is released.
+    std::chrono::steady_clock::time_point next_release{};
+  };
+
   /// The trace must outlive the gate. The epoch (session time 0) is the
   /// moment of construction; reset_epoch() restarts it.
   ShaperGate(const trace::ThroughputTrace& trace, double speedup);
@@ -52,13 +61,15 @@ class ShaperGate {
   /// caller must forward the grant to the ticket's shard.
   std::uint64_t release() ABR_EXCLUDES(mutex_);
 
-  /// Wall-clock instant at which the current holder may write its next
-  /// `bytes`-sized quantum, per the trace's cumulative allowance.
-  std::chrono::steady_clock::time_point quantum_release(std::size_t bytes)
+  /// Claims the holder's next burst of at most `bytes`: walks
+  /// TraceShaper::kQuantumBytes quanta (the last one shorter) and charges
+  /// each whose release instant, per the trace's cumulative allowance, is
+  /// at or before `now`. Stops at the first quantum not yet due or after
+  /// `bytes`, so a caller passing the bytes left before a stall point or
+  /// the body end never claims past either.
+  Burst claim_burst(std::size_t bytes,
+                    std::chrono::steady_clock::time_point now)
       ABR_EXCLUDES(mutex_);
-
-  /// Charges `bytes` against the allowance (call once per written quantum).
-  void note_sent(std::size_t bytes) ABR_EXCLUDES(mutex_);
 
  private:
   const trace::ThroughputTrace* trace_;
@@ -191,6 +202,12 @@ class EpollServer final : public ServerTransport {
   std::size_t tracked_connections() const override;
 
   std::size_t shard_count() const { return shards_.size(); }
+
+  /// Timer-heap entries (deadlines and resumes) across all shards, as of
+  /// each shard's last loop pass. Each connection keeps one queued
+  /// deadline, so this stays near the live connection count however many
+  /// requests a keep-alive connection carries (tests use this).
+  std::size_t queued_timers() const;
 
  private:
   class Shard;

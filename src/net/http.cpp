@@ -178,19 +178,17 @@ std::optional<std::string> HttpConnection::read_header_block() {
 
 std::string HttpConnection::read_exact(std::size_t size,
                                        const ProgressCallback& progress) {
-  std::string body;
-  body.reserve(size);
-  const std::size_t from_buffer = std::min(size, buffer_.size());
-  body.append(buffer_, 0, from_buffer);
-  buffer_.erase(0, from_buffer);
-  if (progress && from_buffer > 0) progress(body.size(), body.size() == size);
-  while (body.size() < size) {
-    char chunk[16384];
-    const std::size_t want = std::min(sizeof(chunk), size - body.size());
-    const std::size_t n = stream().read(chunk, want);
+  // Read in place: bytes that came with the header block move out of
+  // buffer_, the rest land straight in the body, one report per read.
+  std::string body(size, '\0');
+  std::size_t have = buffer_.copy(body.data(), size);
+  buffer_.erase(0, have);
+  if (progress && have > 0) progress(have, have == size);
+  while (have < size) {
+    const std::size_t n = stream().read(body.data() + have, size - have);
     if (n == 0) throw std::invalid_argument("HTTP: connection closed mid-body");
-    body.append(chunk, n);
-    if (progress) progress(body.size(), body.size() == size);
+    have += n;
+    if (progress) progress(have, have == size);
   }
   return body;
 }

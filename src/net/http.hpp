@@ -35,7 +35,10 @@ struct HttpResponse {
   std::string body;
 };
 
-/// Called as response body bytes arrive: (bytes_so_far, done).
+/// Called as response body bytes arrive: (bytes_so_far, done). It runs once
+/// for body bytes that came with the header block and once per socket read
+/// after that; bytes_so_far is exact, so a caller can credit the landed
+/// prefix of a body that is cut short.
 using ProgressCallback = std::function<void(std::size_t, bool)>;
 
 /// One inclusive byte range resolved against a known body size.

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <stdexcept>
 
 #include "media/manifest.hpp"
@@ -135,6 +136,16 @@ TEST(QualityFunction, PiecewiseValidates) {
   EXPECT_THROW(QualityFunction::piecewise({{100.0, 5.0}, {200.0, 1.0}}),
                std::invalid_argument);
 }
+
+}  // namespace
+
+/// Prints a quality function as its family name. CTest's test discovery
+/// names each QualityMonotonicity case by its printed parameter; without
+/// this printer that is the object's raw bytes (a heap pointer and padding
+/// included), so the discovered names would change from run to run.
+void PrintTo(const QualityFunction& q, std::ostream* os) { *os << q.name(); }
+
+namespace {
 
 /// q(.) must be non-decreasing (Section 3.1); parameterized across the
 /// families.

@@ -4,6 +4,12 @@
 
 #include <atomic>
 #include <thread>
+#include <utility>
+#include <vector>
+
+#include "media/manifest.hpp"
+#include "net/chunk_server.hpp"
+#include "trace/throughput_trace.hpp"
 
 namespace abr::net {
 namespace {
@@ -250,6 +256,56 @@ TEST_F(HttpConnectionTest, HttpClientThrowsOnErrorStatus) {
   HttpClient client("127.0.0.1", listener_.port());
   EXPECT_THROW(client.get("/missing"), std::runtime_error);
   server.join();
+}
+
+/// Every progress report of one request: (bytes_so_far, done).
+using ProgressLog = std::vector<std::pair<std::size_t, bool>>;
+
+TEST_F(HttpConnectionTest, HeaderBlockAndShortBodyInOneSegmentParse) {
+  std::thread server([this] {
+    HttpConnection connection(listener_.accept());
+    (void)connection.read_request();
+    // One write: the status line, headers and body share a segment, so the
+    // whole body is already buffered when the header block is parsed.
+    connection.stream().write_all(
+        "HTTP/1.1 200 OK\r\nContent-Length: 5\r\n\r\nhello");
+  });
+  HttpClient client("127.0.0.1", listener_.port(), 3000);
+  ProgressLog reports;
+  const HttpResponse response =
+      client.request("/short", [&reports](std::size_t bytes, bool done) {
+        reports.emplace_back(bytes, done);
+      });
+  server.join();
+  EXPECT_EQ(response.status, 200);
+  EXPECT_EQ(response.body, "hello");
+  ASSERT_EQ(reports.size(), 1u);
+  EXPECT_EQ(reports[0], std::make_pair(std::size_t{5}, true));
+}
+
+TEST(HttpReadPath, ProgressOnALargeBodyStrictlyIncreasesToItsSize) {
+  // One 3000 kbps x 4 s segment: a 1.5 MB body through the shaped origin.
+  const auto manifest = media::VideoManifest::cbr(1, 4.0, {3000.0}, "large");
+  const auto trace = trace::ThroughputTrace::constant(1e9, 3600.0);
+  ChunkServer server(manifest, trace);
+  server.start();
+  HttpClient client("127.0.0.1", server.port(), 5000);
+  ProgressLog reports;
+  const HttpResponse response = client.request(
+      "/video/0/seg-0.m4s", [&reports](std::size_t bytes, bool done) {
+        reports.emplace_back(bytes, done);
+      });
+  server.stop();
+
+  ASSERT_EQ(response.status, 200);
+  ASSERT_EQ(response.body.size(), 1500000u);
+  ASSERT_FALSE(reports.empty());
+  for (std::size_t i = 1; i < reports.size(); ++i) {
+    EXPECT_LT(reports[i - 1].first, reports[i].first) << "report " << i;
+    EXPECT_FALSE(reports[i - 1].second) << "report " << i - 1;
+  }
+  EXPECT_EQ(reports.back().first, response.body.size());
+  EXPECT_TRUE(reports.back().second);
 }
 
 }  // namespace

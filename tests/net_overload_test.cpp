@@ -8,7 +8,9 @@
 #include <sys/resource.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
+#include <memory>
 #include <string>
 #include <system_error>
 #include <thread>
@@ -387,6 +389,122 @@ TEST(ConnectionTable, FinishedSlotsArePruned) {
   ASSERT_TRUE(eventually(
       [&] { return server.transport().tracked_connections() <= 3; }));
   server.stop();
+}
+
+TEST(TimerHeap, KeepAliveRequestsKeepOneDeadlinePerConnection) {
+  const auto manifest = testing::small_manifest();
+  const auto trace = trace::ThroughputTrace::constant(8000.0, 600.0);
+  ChunkServerOptions options;
+  options.engine = ServerEngine::kSharded;
+  options.shards = 1;
+  ChunkServer server(manifest, trace, /*speedup=*/50.0, options);
+  server.start();
+  const auto& sharded = dynamic_cast<const EpollServer&>(server.transport());
+
+  // Each response re-arms the connection's deadline twice (when it starts
+  // writing and when it returns to reading); under the 120 s idle window
+  // none of those arms may leave an entry behind in the shard's heap.
+  HttpClient client("127.0.0.1", server.port(), 3000);
+  HttpHeaders range;
+  range.set("Range", "bytes=0-1023");
+  for (int i = 0; i < 150; ++i) {
+    ASSERT_EQ(client.request("/healthz").status, 200);
+    ASSERT_EQ(client.request("/video/0/seg-0.m4s", range).status, 206);
+  }
+  EXPECT_TRUE(eventually([&] { return sharded.queued_timers() <= 2; }))
+      << sharded.queued_timers() << " timers queued after 300 requests";
+  server.stop();
+}
+
+/// Plans one unshaped response for every request, with the write deadline
+/// and first-byte delay under test, and records how its delivery ended.
+class PlannedResponseHandler final : public EpollServer::Handler {
+ public:
+  PlannedResponseHandler(std::size_t body_bytes, int write_deadline_ms,
+                         double first_byte_delay_s)
+      : body_(std::make_shared<const std::string>(body_bytes, 'b')),
+        write_deadline_ms_(write_deadline_ms),
+        first_byte_delay_s_(first_byte_delay_s) {}
+
+  EpollServer::Response on_request(const HttpRequest&) override {
+    EpollServer::Response response = terse("200 OK", body_->size());
+    response.body_shared = body_;
+    response.body_length = body_->size();
+    response.telemetry = write_deadline_ms_ > 0;
+    response.write_deadline_ms = write_deadline_ms_;
+    response.first_byte_delay_s = first_byte_delay_s_;
+    return response;
+  }
+  EpollServer::Response on_bad_request() override {
+    return terse("400 Bad Request", 0);
+  }
+  EpollServer::Response on_reject() override {
+    return terse("503 Service Unavailable", 0);
+  }
+  void on_response_done(const EpollServer::Response&,
+                        EpollServer::Response::Kind, double,
+                        EpollServer::Outcome outcome) override {
+    outcome_.store(outcome);
+    done_.store(true);
+  }
+
+  bool done() const { return done_.load(); }
+  EpollServer::Outcome outcome() const { return outcome_.load(); }
+
+ private:
+  static EpollServer::Response terse(const std::string& status,
+                                     std::size_t length) {
+    EpollServer::Response response;
+    response.head = "HTTP/1.1 " + status +
+                    "\r\nContent-Length: " + std::to_string(length) +
+                    "\r\n\r\n";
+    return response;
+  }
+
+  std::shared_ptr<const std::string> body_;
+  int write_deadline_ms_;
+  double first_byte_delay_s_;
+  std::atomic<bool> done_{false};
+  std::atomic<EpollServer::Outcome> outcome_{EpollServer::Outcome::kComplete};
+};
+
+TEST(TimerHeap, ShorterWriteDeadlineTripsUnderTheIdleWindow) {
+  // A 200 ms write deadline under a 60 s idle window: the connection's
+  // queued idle entry pops far too late, so the shorter deadline needs an
+  // entry of its own. 16 MB cannot fit in the socket buffers of a peer
+  // that never reads.
+  PlannedResponseHandler handler(16u << 20, /*write_deadline_ms=*/200, 0.0);
+  EpollServer::EpollServerOptions options;
+  options.shards = 1;
+  options.idle_timeout_ms = 60000;
+  EpollServer server(&handler, options);
+  server.start();
+
+  TcpStream stalled = TcpStream::connect("127.0.0.1", server.port());
+  stalled.write_all("GET /big HTTP/1.1\r\nHost: t\r\n\r\n");
+  ASSERT_TRUE(eventually([&] { return handler.done(); }, 5000ms));
+  EXPECT_EQ(handler.outcome(), EpollServer::Outcome::kWriteDeadline);
+  EXPECT_TRUE(eventually([&] { return server.active_connections() == 0; }));
+  server.stop();
+}
+
+TEST(TimerHeap, ServerSideWaitsDoNotCountAgainstThePeer) {
+  // A first-byte delay of 400 ms outlasts the 150 ms idle window; the
+  // shard, not the peer, is the one waiting, so the response still arrives.
+  PlannedResponseHandler handler(1000, /*write_deadline_ms=*/0, 0.4);
+  EpollServer::EpollServerOptions options;
+  options.shards = 1;
+  options.idle_timeout_ms = 150;
+  EpollServer server(&handler, options);
+  server.start();
+
+  HttpClient client("127.0.0.1", server.port(), 3000);
+  const HttpResponse response = client.request("/delayed");
+  EXPECT_EQ(response.status, 200);
+  EXPECT_EQ(response.body.size(), 1000u);
+  server.stop();
+  EXPECT_TRUE(handler.done());
+  EXPECT_EQ(handler.outcome(), EpollServer::Outcome::kComplete);
 }
 
 TEST(AcceptLoop, SurvivesFdExhaustion) {

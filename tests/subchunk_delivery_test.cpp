@@ -12,6 +12,7 @@
 
 #include "media/manifest.hpp"
 #include "net/chunk_server.hpp"
+#include "net/faults.hpp"
 #include "net/http.hpp"
 #include "net/streaming_client.hpp"
 #include "obs/journal.hpp"
@@ -245,6 +246,52 @@ TEST(HttpRangeResume, ChunkSourceResumesFromTheDeliveredOffset) {
   // Only the missing suffix crossed the wire; the credit completes the chunk.
   EXPECT_NEAR(outcome.kilobits, total_kb / 2.0, 1.0);
   EXPECT_NEAR(outcome.delivered_kilobits, total_kb, 1.0);
+}
+
+TEST(HttpRangeResume, TruncatedBodyCreditsExactlyTheLandedPrefix) {
+  const auto manifest = media::VideoManifest::cbr(1, 4.0, {3000.0}, "cut");
+  const auto trace = trace::ThroughputTrace::constant(1e9, 3600.0);
+  testing::FaultPlan plan;
+  plan.seed = 11;
+  plan.partial_rate = 1.0;
+  plan.max_faulty_attempts = 1;
+  FaultInjector injector(plan);
+  ChunkServer server(manifest, trace);
+  server.set_fault_injector(&injector);
+  server.start();
+
+  const auto total =
+      static_cast<std::size_t>(manifest.chunk_kilobits(0, 0) * 125.0);
+  const auto cut = static_cast<std::size_t>(
+      static_cast<double>(total) * plan.decide(0, 0).body_fraction);
+  ASSERT_GT(cut, 0u);
+  ASSERT_LT(cut, total);
+
+  // A one-attempt budget stops at the truncated body: what it credits is
+  // exactly the bytes that landed before the origin cut the connection.
+  sim::RetryPolicy retry;
+  retry.max_attempts = 1;
+  retry.request_timeout_ms = 5000;
+  HttpChunkSource source("127.0.0.1", server.port(), manifest,
+                         /*speedup=*/1.0, retry);
+  const sim::FetchOutcome truncated = source.fetch_controlled(0, 0, {});
+  EXPECT_TRUE(truncated.failed);
+  const double cut_kilobits = static_cast<double>(cut) * 8.0 / 1000.0;
+  EXPECT_EQ(truncated.delivered_kilobits, cut_kilobits);
+  EXPECT_EQ(truncated.kilobits, cut_kilobits);
+
+  // Resuming from that credit moves only the missing suffix (the credit
+  // rounds down to whole bytes, so at most one byte more).
+  sim::FetchControl control;
+  control.resume_from_kilobits = cut_kilobits;
+  const sim::FetchOutcome resumed = source.fetch_controlled(0, 0, control);
+  server.stop();
+  EXPECT_FALSE(resumed.failed);
+  EXPECT_EQ(resumed.resumes, 1u);
+  EXPECT_NEAR(resumed.kilobits, static_cast<double>(total - cut) * 8.0 / 1000.0,
+              8.0 / 1000.0);
+  EXPECT_NEAR(resumed.delivered_kilobits, manifest.chunk_kilobits(0, 0),
+              1e-9);
 }
 
 TEST(TraceControlled, ResumeCreditShortensTheTransfer) {
