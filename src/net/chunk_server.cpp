@@ -1,223 +1,62 @@
 #include "net/chunk_server.hpp"
 
-#include <cassert>
 #include <chrono>
-#include <cstdlib>
-#include <cstring>
-#include <thread>
 
 #include "media/mpd.hpp"
 #include "net/faults.hpp"
 #include "net/telemetry.hpp"
 #include "obs/names.hpp"
-#include "obs/span.hpp"
-#include "obs/trace_event.hpp"
 #include "util/strings.hpp"
 
 namespace abr::net {
 
-TcpServer::TcpServer(SessionHandler session) : session_(std::move(session)) {
-  assert(session_);
-}
+/// A routed response before delivery: status/reason/headers plus a body
+/// that is either an owned string or a slice of a shared immutable buffer
+/// (segment payloads — one fill buffer can back any number of concurrent
+/// responses, so chunk bodies are never copied).
+struct ChunkServer::RoutedResponse {
+  int status = 200;
+  std::string reason = "OK";
+  HttpHeaders headers;
+  std::string body_inline;
+  std::shared_ptr<const std::string> body_shared;
+  std::size_t body_offset = 0;
+  std::size_t body_length = 0;  ///< length of the shared slice
+  bool telemetry = false;       ///< /metrics or /statusz
 
-TcpServer::~TcpServer() { stop(); }
-
-void TcpServer::start(std::uint16_t port) {
-  assert(!running_.load());
-  listener_ = TcpListener::bind_loopback(port);
-  port_ = listener_.port();
-  draining_.store(false);
-  running_.store(true);
-  accept_thread_ = std::thread([this] { accept_loop(); });
-}
-
-void TcpServer::spawn_locked(TcpStream stream,
-                             const std::function<void(TcpStream&)>& run) {
-  auto connection = std::make_unique<Connection>();
-  connection->stream = std::move(stream);
-  Connection* raw = connection.get();
-  connection->thread = std::thread([raw, run] {
-    try {
-      run(raw->stream);
-    } catch (const std::exception&) {
-      // A handler that leaks an exception must not take the server down.
-    }
-    // Tell the peer we are done *now*: the fd itself is reclaimed lazily
-    // (on the next accept's prune), but without the shutdown a peer
-    // waiting on the socket would hang until then instead of seeing EOF.
-    raw->stream.shutdown_both();
-    raw->done.store(true);
-  });
-  connections_.push_back(std::move(connection));
-}
-
-void TcpServer::accept_loop() {
-  while (running_.load()) {
-    TcpStream stream;
-    try {
-      stream = listener_.accept();
-    } catch (const std::system_error&) {
-      if (!running_.load()) break;  // listener closed: orderly shutdown
-      // Transient accept failure — EMFILE/ENFILE under descriptor
-      // exhaustion, ECONNABORTED on a connection that died in the backlog.
-      // Back off briefly (pruning below also releases descriptors of
-      // finished sessions) and keep accepting rather than killing the loop.
-      {
-        const util::MutexLock lock(mutex_);
-        prune_finished_locked();
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(10));
-      continue;
-    }
-    const util::MutexLock lock(mutex_);
-    if (!running_.load()) break;  // stop() raced us; drop the connection
-    prune_finished_locked();
-    if (max_connections_ != 0 && active_locked() >= max_connections_) {
-      rejected_.fetch_add(1);
-      if (reject_) {
-        // Shed on a short-lived thread of its own so a slow (or hostile)
-        // rejected peer cannot stall the accept loop.
-        spawn_locked(std::move(stream), reject_);
-      }
-      continue;  // without a reject handler the stream just closes here
-    }
-    spawn_locked(std::move(stream), session_);
-    const std::size_t active = active_locked();
-    if (active > peak_.load()) peak_.store(active);
-  }
-}
-
-void TcpServer::prune_finished_locked() {
-  auto it = connections_.begin();
-  while (it != connections_.end()) {
-    if ((*it)->done.load()) {
-      if ((*it)->thread.joinable()) (*it)->thread.join();
-      it = connections_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-}
-
-std::size_t TcpServer::active_locked() const {
-  std::size_t active = 0;
-  for (const auto& connection : connections_) {
-    if (!connection->done.load()) ++active;
-  }
-  return active;
-}
-
-std::size_t TcpServer::active_connections() const {
-  const util::MutexLock lock(mutex_);
-  return active_locked();
-}
-
-std::size_t TcpServer::tracked_connections() const {
-  const util::MutexLock lock(mutex_);
-  return connections_.size();
-}
-
-void TcpServer::stop() {
-  if (!running_.exchange(false)) return;
-  listener_.close();  // shutdown+close: wakes the blocked accept()
-  if (accept_thread_.joinable()) accept_thread_.join();
-
-  // Interrupt handlers blocked on live peers (e.g., a keep-alive client
-  // that has not closed): shutting the stream down makes their next read
-  // return EOF. Streams stay owned by Connection, so this is safe while the
-  // handler thread still uses them.
-  std::vector<std::unique_ptr<Connection>> connections;
-  {
-    const util::MutexLock lock(mutex_);
-    connections.swap(connections_);
-  }
-  for (const auto& connection : connections) {
-    connection->stream.shutdown_both();
-  }
-  for (const auto& connection : connections) {
-    if (connection->thread.joinable()) connection->thread.join();
-  }
-}
-
-std::size_t TcpServer::drain(double deadline_s) {
-  if (!running_.exchange(false)) return 0;
-  draining_.store(true);
-  listener_.close();
-  if (accept_thread_.joinable()) accept_thread_.join();
-
-  // Let in-flight sessions finish on their own. Keep-alive handlers poll
-  // draining() and close at the next request boundary.
-  const auto deadline =
-      std::chrono::steady_clock::now() +
-      std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-          std::chrono::duration<double>(deadline_s));
-  while (std::chrono::steady_clock::now() < deadline) {
-    bool idle = false;
-    {
-      const util::MutexLock lock(mutex_);
-      prune_finished_locked();
-      idle = connections_.empty();
-    }
-    if (idle) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  std::size_t body_size() const {
+    return body_shared != nullptr ? body_length : body_inline.size();
   }
 
-  // Deadline passed (or everyone finished): force-close the stragglers.
-  std::vector<std::unique_ptr<Connection>> connections;
-  {
-    const util::MutexLock lock(mutex_);
-    prune_finished_locked();
-    connections.swap(connections_);
+  /// Serializes the head and hands the body over to the reactor.
+  EpollServer::Response plan() && {
+    EpollServer::Response out;
+    out.head = serialize_response_head(status, reason, headers, body_size());
+    out.body_inline = std::move(body_inline);
+    out.body_shared = std::move(body_shared);
+    out.body_offset = body_offset;
+    out.body_length = body_length;
+    out.telemetry = telemetry;
+    return out;
   }
-  std::size_t forced = 0;
-  for (const auto& connection : connections) {
-    if (!connection->done.load()) {
-      ++forced;
-      connection->stream.shutdown_both();
-    }
-  }
-  for (const auto& connection : connections) {
-    if (connection->thread.joinable()) connection->thread.join();
-  }
-  return forced;
-}
+};
 
 namespace {
 
-/// Resolves ServerEngine::kDefault: the ABR_SERVER_ENGINE environment
-/// variable ("threaded"/"sharded") decides, else the sharded engine.
-ServerEngine resolve_engine(ServerEngine requested) {
-  if (requested != ServerEngine::kDefault) return requested;
-  if (const char* env = std::getenv("ABR_SERVER_ENGINE")) {
-    if (std::string_view(env) == "threaded") return ServerEngine::kThreaded;
-    if (std::string_view(env) == "sharded") return ServerEngine::kSharded;
-  }
-  return ServerEngine::kSharded;
+EpollServer::EpollServerOptions reactor_options(
+    const ChunkServerOptions& options) {
+  EpollServer::EpollServerOptions out;
+  out.shards = options.shards;
+  out.max_connections = options.max_connections;
+  out.idle_timeout_ms = options.idle_timeout_ms;
+  return out;
 }
 
-/// Serializes the response head exactly as the serving loop always has:
-/// status line, routed headers in order, Content-Length, blank line.
-std::string serialize_head(const RoutedResponse& response) {
-  std::string head = "HTTP/1.1 " + std::to_string(response.status) + " " +
-                     response.reason + "\r\n";
-  for (const auto& [key, value] : response.headers.entries) {
-    head += key + ": " + value + "\r\n";
-  }
-  head +=
-      "Content-Length: " + std::to_string(response.body_size()) + "\r\n\r\n";
-  return head;
-}
-
-/// Replaces a routed response with an injected HTTP error (fault
-/// kHttpError), dropping any shared body slice.
-void apply_http_error(RoutedResponse& response, int status) {
-  response.status = status;
-  response.reason = "Service Unavailable";
-  response.headers = HttpHeaders{};
-  response.body_inline = "injected fault\n";
-  response.body_shared = nullptr;
-  response.body_offset = 0;
-  response.body_length = 0;
+/// True when the request asks to end the connection after its response
+/// (RFC 7230 §6.6).
+bool asks_to_close(const HttpRequest& request) {
+  const std::string* connection = request.headers.find("Connection");
+  return connection != nullptr && util::iequals(*connection, "close");
 }
 
 }  // namespace
@@ -248,21 +87,20 @@ ChunkServer::ChunkServer(const media::VideoManifest& manifest,
                          ChunkServerOptions options)
     : manifest_(&manifest),
       mpd_(media::to_mpd(manifest)),
-      shaper_(trace, speedup),
       speedup_(speedup),
-      options_(std::move(options)),
+      options_(options),
       requests_counter_(&obs::MetricsRegistry::global().counter(
-          obs::kHttpRequestsTotal, options_.metric_label)),
+          obs::kHttpRequestsTotal)),
       bytes_counter_(&obs::MetricsRegistry::global().counter(
-          obs::kHttpBytesServedTotal, options_.metric_label)),
+          obs::kHttpBytesServedTotal)),
       connections_gauge_(&obs::MetricsRegistry::global().gauge(
-          obs::kHttpActiveConnections, options_.metric_label)),
+          obs::kHttpActiveConnections)),
       peak_connections_gauge_(&obs::MetricsRegistry::global().gauge(
-          obs::kHttpPeakConnections, options_.metric_label)),
+          obs::kHttpPeakConnections)),
       shed_counter_(&obs::MetricsRegistry::global().counter(
-          obs::kOriginShedTotal, options_.metric_label)),
+          obs::kOriginShedTotal)),
       drain_forced_counter_(&obs::MetricsRegistry::global().counter(
-          obs::kDrainForcedClosesTotal, options_.metric_label)),
+          obs::kDrainForcedClosesTotal)),
       bad_request_malformed_(&obs::MetricsRegistry::global().counter(
           obs::kHttpBadRequestsTotal, obs::bad_request_label("malformed"))),
       bad_request_method_(&obs::MetricsRegistry::global().counter(
@@ -272,9 +110,9 @@ ChunkServer::ChunkServer(const media::VideoManifest& manifest,
       bad_request_range_(&obs::MetricsRegistry::global().counter(
           obs::kHttpBadRequestsTotal, obs::bad_request_label("range"))),
       range_requests_(&obs::MetricsRegistry::global().counter(
-          obs::kHttpRangeRequestsTotal, options_.metric_label)),
+          obs::kHttpRangeRequestsTotal)),
       request_latency_(&obs::MetricsRegistry::global().histogram(
-          obs::kHttpRequestLatencyUs, options_.metric_label)),
+          obs::kHttpRequestLatencyUs)),
       telemetry_metrics_requests_(&obs::MetricsRegistry::global().counter(
           obs::kTelemetryRequestsTotal,
           obs::telemetry_endpoint_label("/metrics"))),
@@ -286,38 +124,22 @@ ChunkServer::ChunkServer(const media::VideoManifest& manifest,
           obs::exponential_buckets(10.0, 2.0, 16))),
       telemetry_deadline_counter_(&obs::MetricsRegistry::global().counter(
           obs::kTelemetryDeadlineExceededTotal)),
-      engine_(resolve_engine(options_.engine)) {
-  if (engine_ == ServerEngine::kThreaded) {
-    threaded_ = std::make_unique<TcpServer>(
-        [this](TcpStream& stream) { handle_connection(stream); });
-    threaded_->set_max_connections(options_.max_connections);
-    threaded_->set_reject_handler(
-        [this](TcpStream& stream) { reject_connection(stream); });
-    transport_ = threaded_.get();
-  } else {
-    gate_ = std::make_unique<ShaperGate>(trace, speedup);
-    EpollServer::EpollServerOptions epoll_options;
-    epoll_options.shards = options_.shards;
-    epoll_options.max_connections = options_.max_connections;
-    epoll_options.idle_timeout_ms = options_.idle_timeout_ms;
-    // The cast happens here (inside ChunkServer) because the Handler base
-    // is private; make_unique itself could not perform it.
-    sharded_ = std::make_unique<EpollServer>(
-        static_cast<EpollServer::Handler*>(this), epoll_options);
-    sharded_->set_shaper_gate(gate_.get());
-    transport_ = sharded_.get();
-  }
+      gate_(trace, speedup),
+      // The cast happens here because the Handler base is private.
+      server_(static_cast<EpollServer::Handler*>(this),
+              reactor_options(options_)) {
+  server_.set_shaper_gate(&gate_);
 }
 
 ChunkServer::~ChunkServer() { stop(); }
 
 void ChunkServer::start(std::uint16_t port) {
   started_ = std::chrono::steady_clock::now();
-  transport_->start(port);
+  server_.start(port);
 }
 
 void ChunkServer::stop() {
-  transport_->stop();
+  server_.stop();
   flush_metrics();
 }
 
@@ -329,54 +151,30 @@ double ChunkServer::uptime_s() const {
 }
 
 void ChunkServer::flush_metrics() {
-  // Shed connections whose reject handler was force-closed before it could
-  // count itself: the transport's rejected tally is ground truth.
-  const std::size_t rejected = transport_->rejected_connections();
+  // Shed connections the reactor refused before on_reject() could count
+  // them (cut at drain or stop): the transport's rejected tally is ground
+  // truth.
+  const std::size_t rejected = server_.rejected_connections();
   const std::size_t handled = shed_handled_.exchange(rejected);
   if (rejected > handled) {
     shed_counter_->increment(static_cast<double>(rejected - handled));
   }
-  const auto peak = static_cast<double>(transport_->peak_connections());
+  const auto peak = static_cast<double>(server_.peak_connections());
   if (peak > peak_connections_gauge_->value()) {
     peak_connections_gauge_->set(peak);
   }
-  if (engine_ == ServerEngine::kSharded) {
-    // The sharded engine has no per-connection handler bracketing the
-    // gauge; the transport's live count is ground truth.
-    connections_gauge_->set(
-        static_cast<double>(transport_->active_connections()));
-  }
+  // No per-connection handler brackets the gauge; the transport's live
+  // count is ground truth.
+  connections_gauge_->set(static_cast<double>(server_.active_connections()));
 }
 
 std::size_t ChunkServer::drain(double deadline_s) {
-  const std::size_t forced = transport_->drain(deadline_s);
+  const std::size_t forced = server_.drain(deadline_s);
   if (forced > 0) {
     drain_forced_counter_->increment(static_cast<double>(forced));
   }
   flush_metrics();
-  if (options_.trace_writer != nullptr && options_.trace_writer->enabled()) {
-    // Lifecycle instants so a final trace dump reflects the connections that
-    // never finished cleanly (wall clock; net/ is outside the deterministic
-    // layers).
-    const double now_s = uptime_s();
-    if (forced > 0) {
-      options_.trace_writer->instant("drain_forced_close", "server", now_s, 0,
-                                     {{"connections", forced}});
-    }
-    options_.trace_writer->instant(
-        "drain_complete", "server", now_s, 0,
-        {{"shed", transport_->rejected_connections()},
-         {"requests_served", requests_served_.load()}});
-  }
   return forced;
-}
-
-void ChunkServer::reset_trace_clock() {
-  {
-    const util::MutexLock lock(shaper_mutex_);
-    shaper_.reset_epoch();
-  }
-  if (gate_ != nullptr) gate_->reset_epoch();
 }
 
 std::shared_ptr<const std::string> ChunkServer::fill_buffer(
@@ -389,7 +187,8 @@ std::shared_ptr<const std::string> ChunkServer::fill_buffer(
   return slot;
 }
 
-RoutedResponse ChunkServer::route(const HttpRequest& request) const {
+ChunkServer::RoutedResponse ChunkServer::route(
+    const HttpRequest& request) const {
   RoutedResponse response;
   if (request.method != "GET") {
     bad_request_method_->increment();
@@ -400,7 +199,7 @@ RoutedResponse ChunkServer::route(const HttpRequest& request) const {
   }
   if (request.target == "/healthz") {
     response.headers.set("Content-Type", "text/plain");
-    if (transport_->draining()) {
+    if (server_.draining()) {
       response.status = 503;
       response.reason = "Service Unavailable";
       response.body_inline = "draining\n";
@@ -418,18 +217,16 @@ RoutedResponse ChunkServer::route(const HttpRequest& request) const {
     } else {
       telemetry_statusz_requests_->increment();
     }
-    if (engine_ == ServerEngine::kSharded) {
-      // No per-connection handler brackets this gauge on the sharded
-      // engine; refresh it from transport truth at every scrape.
-      connections_gauge_->set(
-          static_cast<double>(transport_->active_connections()));
-    }
+    // No per-connection handler brackets this gauge; refresh it from
+    // transport truth at every scrape.
+    connections_gauge_->set(
+        static_cast<double>(server_.active_connections()));
     TelemetryStatus status;
     status.uptime_s = uptime_s();
-    status.draining = transport_->draining();
-    status.active_connections = transport_->active_connections();
-    status.peak_connections = transport_->peak_connections();
-    status.shed_connections = transport_->rejected_connections();
+    status.draining = server_.draining();
+    status.active_connections = server_.active_connections();
+    status.peak_connections = server_.peak_connections();
+    status.shed_connections = server_.rejected_connections();
     status.requests_served = requests_served_.load();
     const HttpResponse scrape = telemetry_response(
         obs::MetricsRegistry::global(), request.target, status);
@@ -495,179 +292,10 @@ RoutedResponse ChunkServer::route(const HttpRequest& request) const {
   return response;
 }
 
-void ChunkServer::reject_connection(TcpStream& stream) {
-  shed_counter_->increment();
-  shed_handled_.fetch_add(1);
-  try {
-    stream.set_no_delay(true);
-    stream.set_timeout_ms(2000);
-    HttpConnection connection(&stream);
-    // Consume the request first so closing after the 503 cannot RST it away
-    // before the client reads the response.
-    try {
-      (void)connection.read_request();
-    } catch (const std::exception&) {
-      // Even an unparsable request gets the 503; it is closing either way.
-    }
-    HttpResponse response;
-    response.status = 503;
-    response.reason = "Service Unavailable";
-    response.headers.set("Retry-After", std::to_string(options_.retry_after_s));
-    response.headers.set("Connection", "close");
-    response.body = "overloaded\n";
-    connection.write_response(response);
-    stream.shutdown_write();
-  } catch (const std::exception&) {
-    // Peer gone mid-shed: nothing to tell it.
-  }
-}
-
-void ChunkServer::handle_connection(TcpStream& stream) {
-  connections_gauge_->add(1.0);
-  const std::size_t live = live_connections_.fetch_add(1) + 1;
-  if (static_cast<double>(live) > peak_connections_gauge_->value()) {
-    peak_connections_gauge_->set(static_cast<double>(live));
-  }
-  try {
-    stream.set_no_delay(true);
-    stream.set_timeout_ms(options_.idle_timeout_ms);
-    HttpConnection connection(&stream);
-    while (true) {
-      std::optional<HttpRequest> request;
-      try {
-        request = connection.read_request();
-      } catch (const std::invalid_argument&) {
-        // Malformed request line, oversized headers, bad framing: answer
-        // with a clean 400 (best effort — the peer may already be gone)
-        // and drop the connection instead of letting the exception tear it
-        // down silently.
-        bad_request_malformed_->increment();
-        HttpResponse bad;
-        bad.status = 400;
-        bad.reason = "Bad Request";
-        bad.headers.set("Connection", "close");
-        bad.body = "bad request\n";
-        try {
-          connection.write_response(bad);
-        } catch (const std::exception&) {
-        }
-        break;
-      }
-      if (!request.has_value()) break;  // client closed keep-alive
-      // Request latency covers routing plus the shaped body send — the time
-      // the client actually waits, i.e. the emulated link is part of it.
-      obs::LatencyTimer latency(request_latency_);
-      RoutedResponse response = route(*request);
-      ++requests_served_;
-      requests_counter_->increment();
-
-      const bool draining = transport_->draining();
-      if (draining) response.headers.set("Connection", "close");
-
-      // Fault injection applies to segment requests only (the MPD and
-      // error responses go out faithfully).
-      testing::FaultDecision fault;
-      std::size_t level = 0;
-      std::size_t number = 0;
-      if (injector_ != nullptr &&
-          (response.status == 200 || response.status == 206) &&
-          parse_segment_path(request->target, level, number)) {
-        fault = injector_->next(number);
-      }
-
-      if (fault.kind == testing::FaultKind::kReset) {
-        // Tear the connection down without answering: the client's read
-        // fails mid-request.
-        stream.shutdown_both();
-        break;
-      }
-      if (fault.kind == testing::FaultKind::kHttpError) {
-        apply_http_error(response, injector_->plan().http_status);
-      }
-      if (fault.kind == testing::FaultKind::kLatencySpike) {
-        // First-byte delay, in wall time scaled like the shaper.
-        std::this_thread::sleep_for(
-            std::chrono::duration<double>(fault.latency_s / speedup_));
-      }
-
-      bytes_counter_->increment(static_cast<double>(response.body_size()));
-
-      // Headers go out unshaped; the body is paced by the trace shaper
-      // (the emulated access link). A truncating fault still promises the
-      // full Content-Length — the client must detect the short body.
-      const std::string head = serialize_head(response);
-
-      if (is_telemetry_target(request->target)) {
-        // Telemetry goes out unshaped (no shaper_mutex_, so a scrape never
-        // queues behind a shaped segment send) under its own hard deadline:
-        // a scraper that stops reading is disconnected — shed, not queued.
-        const obs::LatencyTimer scrape_timer(telemetry_scrape_latency_);
-        stream.set_timeout_ms(options_.telemetry_deadline_ms);
-        try {
-          connection.stream().write_all(head);
-          connection.stream().write_all(response.body());
-        } catch (const std::exception&) {
-          telemetry_deadline_counter_->increment();
-          break;
-        }
-        stream.set_timeout_ms(options_.idle_timeout_ms);
-        if (draining) break;
-        continue;
-      }
-
-      connection.stream().write_all(head);
-
-      const std::string_view body = response.body();
-      if (fault.kind == testing::FaultKind::kStall) {
-        const auto split = static_cast<std::size_t>(
-            static_cast<double>(body.size()) * fault.body_fraction);
-        {
-          const util::MutexLock lock(shaper_mutex_);
-          shaper_.send(connection.stream(), body.substr(0, split));
-        }
-        std::this_thread::sleep_for(
-            std::chrono::duration<double>(fault.stall_s / speedup_));
-        const util::MutexLock lock(shaper_mutex_);
-        shaper_.send(connection.stream(), body.substr(split));
-      } else if (fault.kind == testing::FaultKind::kPartialBody) {
-        const auto split = static_cast<std::size_t>(
-            static_cast<double>(body.size()) * fault.body_fraction);
-        {
-          const util::MutexLock lock(shaper_mutex_);
-          shaper_.send(connection.stream(), body.substr(0, split));
-        }
-        stream.shutdown_both();
-        break;
-      } else {
-        const util::MutexLock lock(shaper_mutex_);
-        shaper_.send(connection.stream(), body);
-      }
-
-      if (draining) break;  // honoured Connection: close; drain proceeds
-    }
-  } catch (const std::exception&) {
-    // Connection torn down (client abort / shutdown): drop it.
-  }
-  live_connections_.fetch_sub(1);
-  connections_gauge_->add(-1.0);
-}
-
-// --- sharded engine request plane ------------------------------------------
-//
-// The EpollServer parses requests and delivers responses; these callbacks
-// (reactor threads) plan them with the same route → count → drain header →
-// fault → bytes-counter sequence as handle_connection, expressed as
-// directives instead of inline sleeps and shaped sends.
-
 EpollServer::Response ChunkServer::on_request(const HttpRequest& request) {
   RoutedResponse routed = route(request);
   ++requests_served_;
   requests_counter_->increment();
-
-  const bool draining_now = transport_->draining();
-  if (draining_now) routed.headers.set("Connection", "close");
-
-  EpollServer::Response out;
 
   // Fault injection applies to segment requests only (the MPD and error
   // responses go out faithfully).
@@ -682,11 +310,34 @@ EpollServer::Response ChunkServer::on_request(const HttpRequest& request) {
   if (fault.kind == testing::FaultKind::kReset) {
     // Tear the connection down without answering: the client's read fails
     // mid-request.
+    EpollServer::Response out;
     out.reset = true;
     return out;
   }
   if (fault.kind == testing::FaultKind::kHttpError) {
-    apply_http_error(routed, injector_->plan().http_status);
+    // The injected error replaces the routed response, shared body included.
+    routed = RoutedResponse{};
+    routed.status = injector_->plan().http_status;
+    routed.reason = "Service Unavailable";
+    routed.body_inline = "injected fault\n";
+  }
+
+  // A draining server ends every keep-alive session at its next response,
+  // and a request may ask for the same (RFC 7230 §6.6).
+  const bool close_after = server_.draining() || asks_to_close(request);
+  if (close_after) routed.headers.set("Connection", "close");
+
+  bytes_counter_->increment(static_cast<double>(routed.body_size()));
+
+  EpollServer::Response out = std::move(routed).plan();
+  out.close_after = close_after;
+  if (out.telemetry) {
+    // Telemetry goes out unshaped (never queued behind a shaped segment
+    // send) under its own hard deadline: a scraper that stops reading is
+    // disconnected — shed, not queued.
+    out.write_deadline_ms = kTelemetryDeadlineMs;
+  } else {
+    out.shaped = true;
   }
   if (fault.kind == testing::FaultKind::kLatencySpike) {
     // First-byte delay, in wall time scaled like the shaper.
@@ -701,25 +352,6 @@ EpollServer::Response ChunkServer::on_request(const HttpRequest& request) {
     // detect the short body.
     out.truncate_after_fraction = fault.body_fraction;
   }
-
-  bytes_counter_->increment(static_cast<double>(routed.body_size()));
-
-  out.head = serialize_head(routed);
-  out.body_inline = std::move(routed.body_inline);
-  out.body_shared = std::move(routed.body_shared);
-  out.body_offset = routed.body_offset;
-  out.body_length = routed.body_length;
-  out.telemetry = routed.telemetry;
-  if (routed.telemetry) {
-    // Telemetry goes out unshaped (never queued behind a shaped segment
-    // send) under its own hard deadline: a scraper that stops reading is
-    // disconnected — shed, not queued.
-    out.shaped = false;
-    out.write_deadline_ms = options_.telemetry_deadline_ms;
-  } else {
-    out.shaped = true;
-  }
-  out.close_after = draining_now;
   return out;
 }
 
@@ -730,11 +362,7 @@ EpollServer::Response ChunkServer::on_bad_request() {
   routed.reason = "Bad Request";
   routed.headers.set("Connection", "close");
   routed.body_inline = "bad request\n";
-  EpollServer::Response out;
-  out.head = serialize_head(routed);
-  out.body_inline = std::move(routed.body_inline);
-  out.close_after = true;
-  return out;
+  return std::move(routed).plan();
 }
 
 EpollServer::Response ChunkServer::on_reject() {
@@ -746,11 +374,7 @@ EpollServer::Response ChunkServer::on_reject() {
   routed.headers.set("Retry-After", std::to_string(options_.retry_after_s));
   routed.headers.set("Connection", "close");
   routed.body_inline = "overloaded\n";
-  EpollServer::Response out;
-  out.head = serialize_head(routed);
-  out.body_inline = std::move(routed.body_inline);
-  out.close_after = true;
-  return out;
+  return std::move(routed).plan();
 }
 
 void ChunkServer::on_response_done(const EpollServer::Response& response,
@@ -759,13 +383,11 @@ void ChunkServer::on_response_done(const EpollServer::Response& response,
                                    EpollServer::Outcome outcome) {
   if (kind != EpollServer::Response::Kind::kRequest) return;
   // Request latency covers routing plus the (shaped) body send — the time
-  // the client actually waits, like the threaded engine's LatencyTimer.
+  // the client actually waits, i.e. the emulated link is part of it.
   request_latency_->observe(wall_us);
   if (response.telemetry) {
     telemetry_scrape_latency_->observe(wall_us);
-    if (outcome != EpollServer::Outcome::kComplete) {
-      // The threaded engine counts any failed telemetry write as a
-      // deadline trip (the write deadline is the only bound on it).
+    if (outcome == EpollServer::Outcome::kWriteDeadline) {
       telemetry_deadline_counter_->increment();
     }
   }

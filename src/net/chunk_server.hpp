@@ -2,198 +2,41 @@
 
 #include <atomic>
 #include <chrono>
-#include <functional>
 #include <memory>
 #include <string>
-#include <thread>
-#include <vector>
 
 #include "media/manifest.hpp"
 #include "net/epoll_server.hpp"
 #include "net/http.hpp"
-#include "net/server_transport.hpp"
-#include "net/shaper.hpp"
-#include "net/socket.hpp"
 #include "obs/metrics.hpp"
 #include "trace/throughput_trace.hpp"
 #include "util/mutex.hpp"
 #include "util/thread_annotations.hpp"
 
-namespace abr::obs {
-class TraceWriter;
-}
-
 namespace abr::net {
-
-/// A small threaded TCP server: one accept loop, one thread per connection,
-/// each running `session` until it returns (typically at client EOF).
-///
-/// The server retains ownership of every connection's stream so that stop()
-/// can interrupt handlers blocked on a live peer: it shuts down each stream
-/// (waking any blocked read), then joins every thread. Without this, a
-/// keep-alive client that never closes would deadlock shutdown.
-///
-/// Overload hardening:
-///  - set_max_connections() caps concurrently live sessions; connections
-///    past the cap run the reject handler (a terse 503, typically) instead
-///    of the session handler, so the thread count stays bounded.
-///  - Finished connection slots are pruned (thread joined, fd closed) on
-///    every accept, so a long-lived server does not accumulate dead entries.
-///  - A transient accept() failure (EMFILE under fd exhaustion,
-///    ECONNABORTED) backs off briefly and keeps serving instead of killing
-///    the accept loop.
-///  - drain() replaces the hard stop() for graceful shutdown: stop
-///    accepting, let in-flight sessions finish up to a deadline, then
-///    force-close stragglers.
-class TcpServer final : public ServerTransport {
- public:
-  /// Runs one connection; returns when done. The stream reference stays
-  /// valid for the duration of the call.
-  using SessionHandler = std::function<void(TcpStream&)>;
-
-  /// Runs a connection rejected by the admission cap (on its own thread,
-  /// like a session). Should write a terse response and return promptly.
-  using RejectHandler = std::function<void(TcpStream&)>;
-
-  explicit TcpServer(SessionHandler session);
-  ~TcpServer() override;
-
-  /// Binds 127.0.0.1 and starts accepting; port 0 picks an ephemeral port.
-  /// A stopped (or drained) server may be started again — passing the old
-  /// port() restarts the origin on the same address, which is how the chaos
-  /// harness brings a killed origin back.
-  void start(std::uint16_t port = 0) override;
-  void stop() override ABR_EXCLUDES(mutex_);
-
-  /// Graceful shutdown: closes the listener, waits up to `deadline_s` for
-  /// in-flight sessions to finish on their own, then force-closes the
-  /// stragglers and joins everything. Returns the number of connections
-  /// that had to be force-closed. Idempotent with stop() in either order.
-  std::size_t drain(double deadline_s) override ABR_EXCLUDES(mutex_);
-
-  /// True from the moment drain() begins until the next start(). Session
-  /// handlers poll this to stop keep-alive loops at the next boundary.
-  bool draining() const override { return draining_.load(); }
-
-  /// Admission cap; 0 (default) means unlimited. Set before start().
-  void set_max_connections(std::size_t cap) { max_connections_ = cap; }
-  void set_reject_handler(RejectHandler reject) { reject_ = std::move(reject); }
-
-  std::uint16_t port() const override { return port_; }
-
-  std::size_t active_connections() const override ABR_EXCLUDES(mutex_);
-  std::size_t peak_connections() const override { return peak_.load(); }
-  std::size_t rejected_connections() const override {
-    return rejected_.load();
-  }
-  /// Tracked entries including finished-but-unpruned ones (tests use this to
-  /// show pruning keeps the vector bounded).
-  std::size_t tracked_connections() const override ABR_EXCLUDES(mutex_);
-
- private:
-  struct Connection {
-    TcpStream stream;
-    std::thread thread;
-    std::atomic<bool> done{false};
-  };
-
-  void accept_loop() ABR_EXCLUDES(mutex_);
-  void spawn_locked(TcpStream stream,
-                    const std::function<void(TcpStream&)>& run)
-      ABR_REQUIRES(mutex_);
-  void prune_finished_locked() ABR_REQUIRES(mutex_);
-  std::size_t active_locked() const ABR_REQUIRES(mutex_);
-
-  SessionHandler session_;
-  RejectHandler reject_;
-  TcpListener listener_;
-  std::uint16_t port_ = 0;
-  std::size_t max_connections_ = 0;
-  std::thread accept_thread_;
-  mutable util::Mutex mutex_;
-  std::vector<std::unique_ptr<Connection>> connections_
-      ABR_GUARDED_BY(mutex_);
-  std::atomic<bool> running_{false};
-  std::atomic<bool> draining_{false};
-  std::atomic<std::size_t> peak_{0};
-  std::atomic<std::size_t> rejected_{0};
-};
 
 class FaultInjector;
 
-/// Which serving core backs a ChunkServer.
-enum class ServerEngine {
-  /// Resolve from the ABR_SERVER_ENGINE environment variable ("threaded" or
-  /// "sharded"); unset falls back to kSharded.
-  kDefault,
-  /// Thread-per-connection TcpServer (the original engine; kept exercisable
-  /// for differential coverage).
-  kThreaded,
-  /// Sharded epoll reactor (EpollServer): nonblocking sockets, no
-  /// per-connection threads.
-  kSharded,
-};
+/// A run-context label only: every ChunkServer runs on the sharded epoll
+/// reactor, and engine() always returns kSharded. The enum survives so
+/// that benchmark reports keep their engine field.
+enum class ServerEngine { kThreaded, kSharded };
 
-/// Serving-path knobs for ChunkServer (all optional; the defaults preserve
-/// the pre-hardening behaviour).
+/// Serving-path knobs for ChunkServer (all optional).
 struct ChunkServerOptions {
-  /// Serving core; see ServerEngine.
-  ServerEngine engine = ServerEngine::kDefault;
-
-  /// Reactor shard count for the sharded engine; 0 picks a small default
-  /// from the host. Ignored by the threaded engine.
+  /// Reactor shard count; 0 picks a small default from the host.
   std::size_t shards = 0;
 
   /// Admission cap on concurrent connections; 0 = unlimited. Connections
-  /// past the cap get "503 Service Unavailable" with a Retry-After header
-  /// instead of a session thread.
+  /// past the cap get "503 Service Unavailable" with a Retry-After header.
   std::size_t max_connections = 0;
 
-  /// Socket read/write deadline per connection (slowloris guard): a peer
+  /// Per-progress socket deadline per connection (slowloris guard): a peer
   /// that dribbles or stalls for longer than this gets disconnected.
   int idle_timeout_ms = 120000;
 
   /// Value of the Retry-After header on shed connections, seconds.
   int retry_after_s = 1;
-
-  /// When non-empty, every metric this origin emits carries the label body
-  /// origin_label(n) (e.g. `origin="1"`), so multi-origin harnesses can
-  /// tell the origins apart. Empty (default) keeps the unlabeled families
-  /// the single-origin tests expect.
-  std::string metric_label;
-
-  /// Hard per-request deadline for telemetry responses (/metrics and
-  /// /statusz): their bodies are written unshaped under this socket
-  /// timeout, so a slow scraper is disconnected (shed) instead of queuing
-  /// behind — or stalling — the serving path.
-  int telemetry_deadline_ms = 250;
-
-  /// Optional lifecycle trace sink: drain() emits instants for forced
-  /// closes and shed totals so the final trace dump reflects connections
-  /// that never finished cleanly. Must outlive the server.
-  obs::TraceWriter* trace_writer = nullptr;
-};
-
-/// A routed response before engine-specific delivery: status/reason/headers
-/// plus a body that is either an owned string or a slice of a shared
-/// immutable buffer (segment payloads — one fill buffer can back any number
-/// of concurrent responses, so neither engine copies chunk bodies).
-struct RoutedResponse {
-  int status = 200;
-  std::string reason = "OK";
-  HttpHeaders headers;
-  std::string body_inline;
-  std::shared_ptr<const std::string> body_shared;
-  std::size_t body_offset = 0;
-  std::size_t body_length = 0;  ///< length of the shared slice
-  bool telemetry = false;       ///< /metrics or /statusz
-
-  std::string_view body() const {
-    return body_shared != nullptr
-               ? std::string_view(*body_shared).substr(body_offset, body_length)
-               : std::string_view(body_inline);
-  }
-  std::size_t body_size() const { return body().size(); }
 };
 
 /// A synthetic DASH origin: serves the MPD and fixed-size segment payloads
@@ -201,10 +44,8 @@ struct RoutedResponse {
 /// Together with HttpChunkSource this reproduces the paper's emulation
 /// testbed (Section 7.2: node.js static server + tc shaping) in-process.
 ///
-/// Two serving cores are available behind one routing/fault/pacing plane
-/// (ChunkServerOptions::engine): the original thread-per-connection
-/// TcpServer and the sharded epoll reactor (EpollServer). Route semantics,
-/// limits, admission control, drain, and fault behaviour are identical.
+/// Requests are parsed and answered by a sharded EpollServer; bodies pass
+/// one ShaperGate, the emulated access link.
 ///
 /// URL layout (matches the MPD's SegmentTemplate):
 ///   GET /manifest.mpd
@@ -218,19 +59,18 @@ class ChunkServer : private EpollServer::Handler {
   ChunkServer(const media::VideoManifest& manifest,
               const trace::ThroughputTrace& trace, double speedup = 1.0,
               ChunkServerOptions options = {});
-  ~ChunkServer();
+  ~ChunkServer() override;
 
   /// Port 0 picks an ephemeral port; a stopped server can be restarted on
   /// its previous port() (the chaos harness's kill/restart path).
   void start(std::uint16_t port = 0);
   void stop();
 
-  /// Graceful shutdown; see ServerTransport::drain. Returns forced-close
-  /// count.
+  /// Graceful shutdown; see EpollServer::drain. Returns forced-close count.
   std::size_t drain(double deadline_s);
-  bool draining() const { return transport_->draining(); }
+  bool draining() const { return server_.draining(); }
 
-  std::uint16_t port() const { return transport_->port(); }
+  std::uint16_t port() const { return server_.port(); }
 
   /// Attaches a fault injector that decides the fate of each segment
   /// request (latency spike, mid-body stall, truncation, reset, 5xx). Must
@@ -240,27 +80,28 @@ class ChunkServer : private EpollServer::Handler {
 
   /// Resets the shaper's trace clock to "now" (call right before the client
   /// starts streaming so client session time and trace time align).
-  void reset_trace_clock() ABR_EXCLUDES(shaper_mutex_);
+  void reset_trace_clock() { gate_.reset_epoch(); }
 
   /// Total requests served (observability for tests).
   std::size_t requests_served() const { return requests_served_.load(); }
 
   /// Connections shed by admission control.
   std::size_t shed_connections() const {
-    return transport_->rejected_connections();
+    return server_.rejected_connections();
   }
 
-  const ServerTransport& transport() const { return *transport_; }
+  const EpollServer& transport() const { return server_; }
 
-  /// The serving core actually in use (after kDefault resolution).
-  ServerEngine engine() const { return engine_; }
+  /// Always ServerEngine::kSharded; see ServerEngine.
+  ServerEngine engine() const { return ServerEngine::kSharded; }
 
  private:
-  void handle_connection(TcpStream& stream) ABR_EXCLUDES(shaper_mutex_);
-  void reject_connection(TcpStream& stream);
+  /// A routed response before delivery (defined in chunk_server.cpp).
+  struct RoutedResponse;
+
   RoutedResponse route(const HttpRequest& request) const;
 
-  // EpollServer::Handler (the sharded engine's request plane).
+  // EpollServer::Handler, on reactor threads.
   EpollServer::Response on_request(const HttpRequest& request) override;
   EpollServer::Response on_bad_request() override;
   EpollServer::Response on_reject() override;
@@ -274,21 +115,18 @@ class ChunkServer : private EpollServer::Handler {
   std::shared_ptr<const std::string> fill_buffer(char fill,
                                                  std::size_t size) const;
 
-  /// Reconciles registry state with transport truth (shed connections whose
-  /// handler never ran, the transport's peak) so drain()/stop() leave the
-  /// final dump complete.
+  /// Reconciles registry state with transport truth (shed connections, the
+  /// transport's peak and live counts) so drain()/stop() leave the final
+  /// dump complete.
   void flush_metrics();
   double uptime_s() const;
 
   const media::VideoManifest* manifest_;
   std::string mpd_;
-  TraceShaper shaper_ ABR_GUARDED_BY(shaper_mutex_);
-  util::Mutex shaper_mutex_;
   double speedup_;
   ChunkServerOptions options_;
   FaultInjector* injector_ = nullptr;
   std::atomic<std::size_t> requests_served_{0};
-  std::atomic<std::size_t> live_connections_{0};
   /// Shed connections already counted into shed_counter_ (reconciled against
   /// the transport's rejected_connections() by flush_metrics()).
   std::atomic<std::size_t> shed_handled_{0};
@@ -317,11 +155,8 @@ class ChunkServer : private EpollServer::Handler {
   mutable std::shared_ptr<const std::string> fill_buffers_[26]
       ABR_GUARDED_BY(fill_mutex_);
 
-  ServerEngine engine_ = ServerEngine::kSharded;
-  std::unique_ptr<TcpServer> threaded_;
-  std::unique_ptr<ShaperGate> gate_;
-  std::unique_ptr<EpollServer> sharded_;
-  ServerTransport* transport_ = nullptr;
+  ShaperGate gate_;
+  EpollServer server_;  ///< last: its threads stop before the rest goes
 };
 
 /// Parses "/video/<level>/seg-<number>.m4s"; returns false on any other

@@ -14,7 +14,6 @@
 #include <unordered_map>
 #include <utility>
 
-#include "net/shaper.hpp"
 #include "obs/metrics.hpp"
 #include "obs/names.hpp"
 #include "util/strings.hpp"
@@ -99,9 +98,9 @@ ShaperGate::Burst ShaperGate::claim_burst(std::size_t bytes,
   Burst burst;
   while (burst.bytes < bytes) {
     // Each quantum is released once the trace's cumulative capacity since
-    // the epoch reaches sent + quantum (TraceShaper::send's arithmetic).
-    const std::size_t quantum =
-        std::min(TraceShaper::kQuantumBytes, bytes - burst.bytes);
+    // the epoch reaches sent + quantum: the trace's inverse integral gives
+    // that instant exactly.
+    const std::size_t quantum = std::min(kQuantumBytes, bytes - burst.bytes);
     const double quantum_kilobits =
         static_cast<double>(quantum) * 8.0 / 1000.0;
     const double release_session_s =
@@ -458,8 +457,9 @@ class EpollServer::Shard {
       case Connection::State::kReadHeaders:
       case Connection::State::kReadBody:
         if (connection.rejected) {
-          // The threaded engine sheds even a peer that stalls mid-request:
-          // the deadline just ends the wait and the terse 503 goes out.
+          // A shed peer gets its 503 even when it stalls mid-request: the
+          // request is read only so that closing cannot reset the answer
+          // away, and the deadline just ends that wait.
           respond_reject(connection);
           return;
         }
@@ -493,8 +493,7 @@ class EpollServer::Shard {
         pump_shaped(connection);
         return;
       case Connection::State::kStallSleep:
-        // Re-acquire the link; the stall released it (like the threaded
-        // engine dropping the shaper mutex while it sleeps).
+        // Re-acquire the link, which the stall handed back.
         if (server_->gate_->acquire(connection.id)) {
           connection.holds_link = true;
           connection.state = Connection::State::kWriteBody;
@@ -525,9 +524,9 @@ class EpollServer::Shard {
           connection->state == Connection::State::kReadBody) {
         handle_readable(*connection);
       } else {
-        // Mid-response: note it and keep not reading — the kernel buffer
-        // backpressures a pipelining flood exactly like the threaded
-        // engine, which only reads between responses.
+        // Mid-response: note it and keep not reading. Requests are read
+        // only between responses, so the kernel buffer backpressures a
+        // pipelining flood.
         connection->read_ready = true;
         if ((events & EPOLLRDHUP) != 0) connection->peer_eof = true;
       }
@@ -588,8 +587,8 @@ class EpollServer::Shard {
   void on_read_eof(Connection& connection) {
     connection.peer_eof = true;
     if (connection.rejected) {
-      // The threaded reject path consumes the request best-effort and
-      // answers 503 whatever happened, EOF included.
+      // A shed connection is answered 503 whatever happened to its
+      // request, EOF included.
       respond_reject(connection);
       return;
     }
@@ -862,8 +861,8 @@ class EpollServer::Shard {
       }
       if (connection.stall_at != std::string_view::npos &&
           connection.body_sent >= connection.stall_at && !connection.stalled) {
-        // Mid-body stall: hand the link back for the duration (the
-        // threaded engine drops the shaper mutex while it sleeps).
+        // Mid-body stall: hand the link back for the duration, so other
+        // bodies flow while this one waits.
         connection.stalled = true;
         connection.holds_link = false;
         server_->forward_grant(gate->release());
@@ -876,8 +875,8 @@ class EpollServer::Shard {
         return;
       }
       if (connection.burst_left == 0) {
-        // The stall point is a quantum boundary, like the threaded split
-        // into two separate shaper sends.
+        // The stall point is a quantum boundary: the body is charged as two
+        // pieces, each cut into quanta from its own start.
         std::size_t limit = connection.body.size();
         if (!connection.stalled &&
             connection.stall_at != std::string_view::npos) {

@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "net/http.hpp"
-#include "net/server_transport.hpp"
 #include "net/socket.hpp"
 #include "trace/throughput_trace.hpp"
 #include "util/mutex.hpp"
@@ -21,19 +20,27 @@
 
 namespace abr::net {
 
-/// Cross-shard pacing gate for shaped response bodies.
+/// Trace-driven link shaper for response bodies, shared by every shard.
 ///
-/// The threaded engine serializes every shaped body send under one shaper
-/// mutex, so bodies go out one at a time, each paced against the trace's
-/// cumulative byte allowance (TraceShaper::send). This class reproduces
-/// that discipline for the reactor shards without ever blocking a reactor
-/// thread: a connection acquires the link (FIFO — queued tickets are served
-/// in order), claims every quantum the trace has already released as one
-/// burst, and the shard schedules a timer instead of sleeping when none is
-/// due. The quantum size and the allowance arithmetic are TraceShaper's,
-/// byte for byte.
+/// This replaces the `tc` token-bucket shaping of the paper's testbed
+/// (Section 7.2) with an application-level equivalent. The emulated access
+/// link carries one body at a time: a connection acquires the link (FIFO —
+/// queued tickets are served in order), and each kQuantumBytes quantum is
+/// released once the trace's cumulative allowance since the epoch covers it.
+/// The holder claims every quantum already released as one burst; when none
+/// is due, the shard schedules a timer instead of sleeping, so no reactor
+/// thread ever blocks.
+///
+/// `speedup` compresses session time: at speedup 20 a 260 s video session
+/// runs in 13 s of wall time, with trace rates scaled up correspondingly.
+/// On loopback the shaped rate remains the bottleneck for any realistic
+/// trace, so the measured throughput at the client follows the trace as it
+/// would behind tc.
 class ShaperGate {
  public:
+  /// Pacing quantum, bytes. Smaller = smoother shaping, more wakeups.
+  static constexpr std::size_t kQuantumBytes = 16 * 1024;
+
   /// What claim_burst() charged.
   struct Burst {
     /// Bytes charged to the allowance; 0 when no quantum is due yet.
@@ -61,10 +68,9 @@ class ShaperGate {
   /// caller must forward the grant to the ticket's shard.
   std::uint64_t release() ABR_EXCLUDES(mutex_);
 
-  /// Claims the holder's next burst of at most `bytes`: walks
-  /// TraceShaper::kQuantumBytes quanta (the last one shorter) and charges
-  /// each whose release instant, per the trace's cumulative allowance, is
-  /// at or before `now`. Stops at the first quantum not yet due or after
+  /// Claims the holder's next burst of at most `bytes`: walks kQuantumBytes
+  /// quanta (the last one shorter) and charges each whose release instant,
+  /// per the trace's cumulative allowance, is at or before `now`. Stops at the first quantum not yet due or after
   /// `bytes`, so a caller passing the bytes left before a stall point or
   /// the body end never claims past either.
   Burst claim_burst(std::size_t bytes,
@@ -92,9 +98,9 @@ class ShaperGate {
 ///
 /// The server is protocol-agnostic above the request boundary: a Handler
 /// turns each parsed request into a fully planned Response (pre-serialized
-/// head, body slice, pacing/fault directives), so the DASH routing logic
-/// lives in ChunkServer and is engine-independent.
-class EpollServer final : public ServerTransport {
+/// head, body slice, pacing/fault directives). ChunkServer (the DASH
+/// origin) and TelemetryServer (the scrape endpoint) are its two handlers.
+class EpollServer final {
  public:
   /// A fully planned response. The head is pre-serialized (status line,
   /// headers, Content-Length, blank line); the body is either an owned
@@ -113,8 +119,8 @@ class EpollServer final : public ServerTransport {
 
     /// Pace the body through the shaper gate (the emulated access link).
     bool shaped = false;
-    /// Telemetry-plane response: written under write_deadline_ms, and a
-    /// deadline trip is reported via Handler::on_response_done.
+    /// Telemetry-plane response: a write-deadline trip is reported as
+    /// Outcome::kWriteDeadline (as kPeerGone for any other response).
     bool telemetry = false;
     /// Close the connection after the response is written (drain, 503,
     /// 400); the write side is shut down first so the peer sees EOF.
@@ -182,24 +188,42 @@ class EpollServer final : public ServerTransport {
 
   /// The handler and gate (optional) must outlive the server.
   EpollServer(Handler* handler, EpollServerOptions options);
-  ~EpollServer() override;
+  ~EpollServer();
+
+  EpollServer(const EpollServer&) = delete;
+  EpollServer& operator=(const EpollServer&) = delete;
 
   /// Attaches the pacing gate for shaped bodies. Must be set before
   /// start() when any Response uses shaped=true.
   void set_shaper_gate(ShaperGate* gate) { gate_ = gate; }
 
-  void start(std::uint16_t port = 0) override;
-  void stop() override;
-  std::size_t drain(double deadline_s) override;
-  bool draining() const override { return draining_.load(); }
+  /// Binds 127.0.0.1 and starts accepting; port 0 picks an ephemeral port.
+  /// A stopped (or drained) server may be started again — passing the old
+  /// port() restarts the origin on the same address, which is how the
+  /// chaos harness brings a killed origin back.
+  void start(std::uint16_t port = 0);
 
-  std::uint16_t port() const override { return port_; }
-  std::size_t active_connections() const override { return live_.load(); }
-  std::size_t peak_connections() const override { return peak_.load(); }
-  std::size_t rejected_connections() const override {
-    return rejected_.load();
-  }
-  std::size_t tracked_connections() const override;
+  /// Hard stop: closes every live connection and joins every thread.
+  void stop();
+
+  /// Graceful shutdown: stops accepting, waits up to `deadline_s` for
+  /// in-flight connections to finish on their own, then force-closes the
+  /// stragglers. Returns the number of forced closes. Idempotent with
+  /// stop() in either order.
+  std::size_t drain(double deadline_s);
+
+  /// True from the moment drain() begins until the next start().
+  bool draining() const { return draining_.load(); }
+
+  std::uint16_t port() const { return port_; }
+  /// Connections currently live (admitted and rejected alike).
+  std::size_t active_connections() const { return live_.load(); }
+  std::size_t peak_connections() const { return peak_.load(); }
+  /// Connections refused by the admission cap.
+  std::size_t rejected_connections() const { return rejected_.load(); }
+  /// Connection-table entries across all shards (tests use this to show
+  /// closed connections leave the table).
+  std::size_t tracked_connections() const;
 
   std::size_t shard_count() const { return shards_.size(); }
 

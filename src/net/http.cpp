@@ -145,9 +145,25 @@ std::size_t content_length_of(const HttpHeaders& headers) {
 
 }  // namespace
 
-HttpConnection::HttpConnection(TcpStream stream) : owned_(std::move(stream)) {}
+std::string serialize_response_head(int status, std::string_view reason,
+                                    const HttpHeaders& headers,
+                                    std::size_t body_size) {
+  std::string out = "HTTP/1.1 " + std::to_string(status) + " ";
+  out += reason;
+  out += "\r\n";
+  bool has_length = false;
+  for (const auto& [key, value] : headers.entries) {
+    if (util::iequals(key, "Content-Length")) has_length = true;
+    out += key + ": " + value + "\r\n";
+  }
+  if (!has_length) {
+    out += "Content-Length: " + std::to_string(body_size) + "\r\n";
+  }
+  out += "\r\n";
+  return out;
+}
 
-HttpConnection::HttpConnection(TcpStream* borrowed) : borrowed_(borrowed) {}
+HttpConnection::HttpConnection(TcpStream stream) : stream_(std::move(stream)) {}
 
 std::optional<std::string> HttpConnection::read_header_block() {
   while (true) {
@@ -211,18 +227,9 @@ std::optional<HttpRequest> HttpConnection::read_request() {
 }
 
 void HttpConnection::write_response(const HttpResponse& response) {
-  std::string out = "HTTP/1.1 " + std::to_string(response.status) + " " +
-                    response.reason + "\r\n";
-  bool has_length = false;
-  for (const auto& [key, value] : response.headers.entries) {
-    if (util::iequals(key, "Content-Length")) has_length = true;
-    out += key + ": " + value + "\r\n";
-  }
-  if (!has_length) {
-    out += "Content-Length: " + std::to_string(response.body.size()) + "\r\n";
-  }
-  out += "\r\n";
-  stream().write_all(out);
+  stream().write_all(serialize_response_head(response.status, response.reason,
+                                             response.headers,
+                                             response.body.size()));
   stream().write_all(response.body);
 }
 

@@ -66,6 +66,14 @@ enum class RangeParse {
 RangeParse parse_range_header(std::string_view value, std::size_t size,
                               ByteRange& out);
 
+/// Serializes a response head: the status line, `headers` in order, a
+/// Content-Length of `body_size` unless `headers` already carries one, and
+/// the blank line. HttpConnection::write_response and the servers' planned
+/// responses all go through it.
+std::string serialize_response_head(int status, std::string_view reason,
+                                    const HttpHeaders& headers,
+                                    std::size_t body_size);
+
 /// One HTTP/1.1 connection with persistent (keep-alive) semantics over a
 /// TcpStream. Handles request/response framing with Content-Length bodies —
 /// the subset a DASH origin needs. Malformed peers raise
@@ -73,15 +81,11 @@ RangeParse parse_range_header(std::string_view value, std::size_t size,
 ///
 /// This is a from-scratch implementation (no third-party HTTP stack): the
 /// paper's emulation testbed (Section 7.2) is a plain node.js static server
-/// plus a browser player, and this class plays both roles.
+/// plus a browser player. The players' HttpClient runs on this class; the
+/// origin's nonblocking EpollServer parses with the same limits.
 class HttpConnection {
  public:
-  /// Owns the stream.
   explicit HttpConnection(TcpStream stream);
-  /// Borrows a stream owned elsewhere (e.g., by TcpServer, which needs to
-  /// retain it so stop() can interrupt a blocked handler). `borrowed` must
-  /// outlive this object.
-  explicit HttpConnection(TcpStream* borrowed);
 
   /// Server side: reads the next request. Returns nullopt on clean EOF
   /// between requests (client closed keep-alive).
@@ -96,7 +100,7 @@ class HttpConnection {
   /// Client side: reads a response; invokes `progress` as body bytes land.
   HttpResponse read_response(const ProgressCallback& progress = nullptr);
 
-  TcpStream& stream() { return borrowed_ != nullptr ? *borrowed_ : owned_; }
+  TcpStream& stream() { return stream_; }
 
   /// Limits (guard against hostile peers). A request line longer than
   /// kMaxRequestLineBytes is rejected even when the whole header block fits
@@ -111,8 +115,7 @@ class HttpConnection {
   std::optional<std::string> read_header_block();
   std::string read_exact(std::size_t size, const ProgressCallback& progress);
 
-  TcpStream owned_;
-  TcpStream* borrowed_ = nullptr;
+  TcpStream stream_;
   std::string buffer_;  ///< bytes read past the last parsed message
 };
 

@@ -4,7 +4,6 @@
 
 #include "obs/journal.hpp"
 #include "obs/names.hpp"
-#include "obs/span.hpp"
 
 namespace abr::net {
 
@@ -46,12 +45,37 @@ HttpResponse telemetry_response(obs::MetricsRegistry& registry,
   return response;
 }
 
+namespace {
+
+EpollServer::EpollServerOptions telemetry_server_options() {
+  EpollServer::EpollServerOptions options;
+  options.shards = 1;
+  options.max_connections = kTelemetryMaxConnections;
+  options.idle_timeout_ms = kTelemetryDeadlineMs;
+  options.reject_timeout_ms = kTelemetryDeadlineMs;
+  return options;
+}
+
+/// Plans `response` as the connection's last: one request per connection,
+/// so every answer carries Connection: close and the server closes after
+/// it. Written unshaped under kTelemetryDeadlineMs.
+EpollServer::Response closing(HttpResponse response) {
+  response.headers.set("Connection", "close");
+  EpollServer::Response out;
+  out.head = serialize_response_head(response.status, response.reason,
+                                     response.headers, response.body.size());
+  out.body_inline = std::move(response.body);
+  out.telemetry = true;
+  out.close_after = true;
+  return out;
+}
+
+}  // namespace
+
 TelemetryServer::TelemetryServer(obs::MetricsRegistry& registry,
-                                 StatusSource status,
-                                 TelemetryServerOptions options)
+                                 StatusSource status)
     : registry_(&registry),
       status_source_(std::move(status)),
-      options_(options),
       metrics_requests_(&obs::MetricsRegistry::global().counter(
           obs::kTelemetryRequestsTotal,
           obs::telemetry_endpoint_label("/metrics"))),
@@ -63,10 +87,11 @@ TelemetryServer::TelemetryServer(obs::MetricsRegistry& registry,
           obs::exponential_buckets(10.0, 2.0, 16))),
       deadline_exceeded_(&obs::MetricsRegistry::global().counter(
           obs::kTelemetryDeadlineExceededTotal)),
-      server_([this](TcpStream& stream) { handle(stream); }) {
-  server_.set_max_connections(options_.max_connections);
-  server_.set_reject_handler([this](TcpStream& stream) { reject(stream); });
-}
+      // The cast happens here because the Handler base is private.
+      server_(static_cast<EpollServer::Handler*>(this),
+              telemetry_server_options()) {}
+
+TelemetryServer::~TelemetryServer() { stop(); }
 
 void TelemetryServer::start(std::uint16_t port) {
   started_ = std::chrono::steady_clock::now();
@@ -89,73 +114,52 @@ TelemetryStatus TelemetryServer::status() {
   return status;
 }
 
-void TelemetryServer::handle(TcpStream& stream) {
-  // One request per connection, the whole exchange bounded by the deadline:
-  // a scraper that dribbles its request or refuses to read the response is
-  // disconnected, not waited on.
-  try {
-    stream.set_no_delay(true);
-    stream.set_timeout_ms(options_.deadline_ms);
-    HttpConnection connection(&stream);
-    const obs::LatencyTimer timer(scrape_latency_);
-    std::optional<HttpRequest> request;
-    try {
-      request = connection.read_request();
-    } catch (const std::invalid_argument&) {
-      HttpResponse bad;
-      bad.status = 400;
-      bad.reason = "Bad Request";
-      bad.headers.set("Connection", "close");
-      connection.write_response(bad);
-      return;
-    }
-    if (!request.has_value()) return;
-    ++requests_served_;
-
-    HttpResponse response;
-    if (request->method != "GET") {
-      response.status = 405;
-      response.reason = "Method Not Allowed";
-      response.headers.set("Allow", "GET");
-    } else if (is_telemetry_target(request->target)) {
-      (request->target == "/metrics" ? metrics_requests_ : statusz_requests_)
-          ->increment();
-      response = telemetry_response(*registry_, request->target, status());
-    } else if (request->target == "/healthz") {
-      response.headers.set("Content-Type", "text/plain");
-      response.body = "ok\n";
-    } else {
-      response.status = 404;
-      response.reason = "Not Found";
-    }
-    response.headers.set("Connection", "close");
-    connection.write_response(response);
-    stream.shutdown_write();
-  } catch (const std::exception&) {
-    // Deadline hit (or peer gone): shed the scrape rather than queue it.
-    deadline_exceeded_->increment();
+EpollServer::Response TelemetryServer::on_request(const HttpRequest& request) {
+  ++requests_served_;
+  HttpResponse response;
+  if (request.method != "GET") {
+    response.status = 405;
+    response.reason = "Method Not Allowed";
+    response.headers.set("Allow", "GET");
+  } else if (is_telemetry_target(request.target)) {
+    (request.target == "/metrics" ? metrics_requests_ : statusz_requests_)
+        ->increment();
+    response = telemetry_response(*registry_, request.target, status());
+  } else if (request.target == "/healthz") {
+    response.headers.set("Content-Type", "text/plain");
+    response.body = "ok\n";
+  } else {
+    response.status = 404;
+    response.reason = "Not Found";
   }
+  return closing(std::move(response));
 }
 
-void TelemetryServer::reject(TcpStream& stream) {
-  try {
-    stream.set_no_delay(true);
-    stream.set_timeout_ms(options_.deadline_ms);
-    HttpConnection connection(&stream);
-    try {
-      (void)connection.read_request();
-    } catch (const std::exception&) {
-    }
-    HttpResponse response;
-    response.status = 503;
-    response.reason = "Service Unavailable";
-    response.headers.set("Retry-After", "1");
-    response.headers.set("Connection", "close");
-    response.body = "overloaded\n";
-    connection.write_response(response);
-    stream.shutdown_write();
-  } catch (const std::exception&) {
-    // Peer gone mid-shed: nothing to tell it.
+EpollServer::Response TelemetryServer::on_bad_request() {
+  HttpResponse bad;
+  bad.status = 400;
+  bad.reason = "Bad Request";
+  return closing(std::move(bad));
+}
+
+EpollServer::Response TelemetryServer::on_reject() {
+  HttpResponse shed;
+  shed.status = 503;
+  shed.reason = "Service Unavailable";
+  shed.headers.set("Retry-After", "1");
+  shed.body = "overloaded\n";
+  return closing(std::move(shed));
+}
+
+void TelemetryServer::on_response_done(const EpollServer::Response&,
+                                       EpollServer::Response::Kind kind,
+                                       double wall_us,
+                                       EpollServer::Outcome outcome) {
+  if (kind == EpollServer::Response::Kind::kRequest) {
+    scrape_latency_->observe(wall_us);
+  }
+  if (outcome == EpollServer::Outcome::kWriteDeadline) {
+    deadline_exceeded_->increment();
   }
 }
 

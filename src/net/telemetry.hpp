@@ -8,7 +8,7 @@
 #include <string_view>
 #include <vector>
 
-#include "net/chunk_server.hpp"
+#include "net/epoll_server.hpp"
 #include "net/http.hpp"
 #include "obs/metrics.hpp"
 
@@ -46,30 +46,30 @@ HttpResponse telemetry_response(obs::MetricsRegistry& registry,
                                 std::string_view target,
                                 const TelemetryStatus& status);
 
-struct TelemetryServerOptions {
-  /// Admission cap on concurrent scrapes. Overloaded scrapers are shed with
-  /// a terse 503 on their own short-lived thread — never queued.
-  std::size_t max_connections = 4;
+/// Per-progress deadline on every telemetry exchange, milliseconds: a
+/// scraper that stalls its request or stops reading the response is
+/// disconnected (shed), never queued. Both the standalone TelemetryServer
+/// and ChunkServer's /metrics and /statusz use it.
+inline constexpr int kTelemetryDeadlineMs = 250;
 
-  /// Hard per-request deadline: socket reads and writes past this are
-  /// abandoned (and counted in abr_telemetry_deadline_exceeded_total).
-  int deadline_ms = 250;
-};
+/// Admission cap of the standalone TelemetryServer: scrapers past it get a
+/// terse 503.
+inline constexpr std::size_t kTelemetryMaxConnections = 4;
 
 /// Standalone scrape endpoint for client-side processes (`abrsim
 /// --telemetry-port`): serves GET /metrics, /statusz, and /healthz from a
-/// registry, one request per connection, bounded by
-/// TelemetryServerOptions::deadline_ms. The registry must outlive the
-/// server.
-class TelemetryServer {
+/// registry, one request per connection, on one EpollServer shard with
+/// kTelemetryMaxConnections admission and kTelemetryDeadlineMs deadlines.
+/// The registry must outlive the server.
+class TelemetryServer : private EpollServer::Handler {
  public:
   /// Optional callback supplying the /statusz payload; when absent the
   /// server reports its own uptime and transport counters.
   using StatusSource = std::function<TelemetryStatus()>;
 
   explicit TelemetryServer(obs::MetricsRegistry& registry,
-                           StatusSource status = nullptr,
-                           TelemetryServerOptions options = {});
+                           StatusSource status = nullptr);
+  ~TelemetryServer() override;
 
   /// Port 0 picks an ephemeral port.
   void start(std::uint16_t port = 0);
@@ -80,16 +80,20 @@ class TelemetryServer {
   std::size_t shed_connections() const {
     return server_.rejected_connections();
   }
-  const TcpServer& transport() const { return server_; }
+  const EpollServer& transport() const { return server_; }
 
  private:
-  void handle(TcpStream& stream);
-  void reject(TcpStream& stream);
+  // EpollServer::Handler, on the reactor thread.
+  EpollServer::Response on_request(const HttpRequest& request) override;
+  EpollServer::Response on_bad_request() override;
+  EpollServer::Response on_reject() override;
+  void on_response_done(const EpollServer::Response& response,
+                        EpollServer::Response::Kind kind, double wall_us,
+                        EpollServer::Outcome outcome) override;
   TelemetryStatus status();
 
   obs::MetricsRegistry* registry_;
   StatusSource status_source_;
-  TelemetryServerOptions options_;
   std::chrono::steady_clock::time_point started_;
   std::atomic<std::size_t> requests_served_{0};
 
@@ -98,7 +102,7 @@ class TelemetryServer {
   obs::Histogram* scrape_latency_;
   obs::Counter* deadline_exceeded_;
 
-  TcpServer server_;
+  EpollServer server_;  ///< last: its threads stop before the rest goes
 };
 
 }  // namespace abr::net

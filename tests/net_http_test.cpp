@@ -220,30 +220,6 @@ TEST_F(HttpConnectionTest, HttpClientGetAndReconnect) {
   server.join();
 }
 
-TEST_F(HttpConnectionTest, BorrowedStreamMode) {
-  // The server-side mode: the connection borrows a stream owned elsewhere
-  // (TcpServer keeps it so stop() can interrupt the handler).
-  std::thread server([this] {
-    TcpStream stream = listener_.accept();
-    HttpConnection connection(&stream);
-    const auto request = connection.read_request();
-    ASSERT_TRUE(request.has_value());
-    HttpResponse response;
-    response.body = "borrowed";
-    connection.write_response(response);
-    // The stream is still owned here and valid after the exchange.
-    EXPECT_TRUE(stream.valid());
-  });
-
-  HttpConnection client(TcpStream::connect("127.0.0.1", listener_.port()));
-  HttpRequest request;
-  request.method = "GET";
-  request.target = "/b";
-  client.write_request(request, "localhost");
-  EXPECT_EQ(client.read_response().body, "borrowed");
-  server.join();
-}
-
 TEST_F(HttpConnectionTest, HttpClientThrowsOnErrorStatus) {
   std::thread server([this] {
     HttpConnection connection(listener_.accept());

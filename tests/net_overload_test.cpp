@@ -28,6 +28,8 @@ namespace abr::net {
 namespace {
 
 using namespace std::chrono_literals;
+using testing::eventually;
+using testing::read_to_eof;
 
 /// Enables the (normally disabled) global registry for one test's scope.
 class ScopedMetrics {
@@ -35,34 +37,6 @@ class ScopedMetrics {
   ScopedMetrics() { obs::MetricsRegistry::global().set_enabled(true); }
   ~ScopedMetrics() { obs::MetricsRegistry::global().set_enabled(false); }
 };
-
-/// Reads from `stream` until EOF (or a read error) and returns the bytes.
-std::string read_to_eof(TcpStream& stream) {
-  std::string out;
-  char buffer[4096];
-  try {
-    while (true) {
-      const std::size_t n = stream.read(buffer, sizeof(buffer));
-      if (n == 0) break;
-      out.append(buffer, n);
-    }
-  } catch (const std::system_error&) {
-    // Timeout or reset: return what we have.
-  }
-  return out;
-}
-
-/// Polls `predicate` every 2 ms for up to `deadline`; true when it held.
-template <typename Predicate>
-bool eventually(Predicate predicate,
-                std::chrono::milliseconds deadline = 2000ms) {
-  const auto give_up = std::chrono::steady_clock::now() + deadline;
-  while (std::chrono::steady_clock::now() < give_up) {
-    if (predicate()) return true;
-    std::this_thread::sleep_for(2ms);
-  }
-  return predicate();
-}
 
 constexpr const char* kClosingGet =
     "GET /manifest.mpd HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n";
@@ -86,7 +60,8 @@ TEST(AdmissionControl, ShedsPastCapWith503AndRecovers) {
   TcpStream shed = TcpStream::connect("127.0.0.1", server.port());
   shed.set_timeout_ms(3000);
   shed.write_all(kClosingGet);
-  const std::string response = read_to_eof(shed);
+  const auto [response, eof] = read_to_eof(shed);
+  EXPECT_TRUE(eof);
   EXPECT_NE(response.find("503 Service Unavailable"), std::string::npos);
   EXPECT_NE(response.find("Retry-After: 3"), std::string::npos);
   EXPECT_EQ(server.shed_connections(), 1u);
@@ -153,7 +128,7 @@ TEST(Slowloris, IdleConnectionIsDeadlined) {
   victim.write_all("GET /manif");
   victim.set_timeout_ms(3000);
   const auto start = std::chrono::steady_clock::now();
-  const std::string leftovers = read_to_eof(victim);  // EOF when dropped
+  const std::string leftovers = read_to_eof(victim).bytes;  // EOF when dropped
   const double waited =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
@@ -178,7 +153,7 @@ TEST(RouteHardening, MalformedRequestGets400AndIsCounted) {
   TcpStream stream = TcpStream::connect("127.0.0.1", server.port());
   stream.set_timeout_ms(3000);
   stream.write_all("this is not http\r\n\r\n");
-  const std::string response = read_to_eof(stream);
+  const std::string response = read_to_eof(stream).bytes;
   EXPECT_NE(response.find("400 Bad Request"), std::string::npos);
   EXPECT_GE(malformed.value(), before + 1.0);
   server.stop();
@@ -194,7 +169,7 @@ TEST(RouteHardening, OversizedRequestLineGets400) {
   stream.set_timeout_ms(5000);
   const std::string huge_target(HttpConnection::kMaxRequestLineBytes + 64, 'a');
   stream.write_all("GET /" + huge_target + " HTTP/1.1\r\nHost: t\r\n\r\n");
-  const std::string response = read_to_eof(stream);
+  const std::string response = read_to_eof(stream).bytes;
   EXPECT_NE(response.find("400 Bad Request"), std::string::npos);
   server.stop();
 }
@@ -219,7 +194,7 @@ TEST(RouteHardening, OversizedHeaderBlockGets400) {
     // The server may cut the flood off mid-write; the 400 (or the close)
     // below is the point.
   }
-  const std::string response = read_to_eof(stream);
+  const std::string response = read_to_eof(stream).bytes;
   // Either we see the 400 or the server dropped us mid-flood; it must not
   // buffer the whole block.
   if (!response.empty()) {
@@ -245,7 +220,8 @@ TEST(RouteHardening, NonGetMethodGets405WithAllow) {
   stream.set_timeout_ms(3000);
   stream.write_all(
       "POST /manifest.mpd HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n");
-  const std::string response = read_to_eof(stream);
+  const auto [response, eof] = read_to_eof(stream);
+  EXPECT_TRUE(eof) << "the request's Connection: close was not honoured";
   EXPECT_NE(response.find("405 Method Not Allowed"), std::string::npos);
   EXPECT_NE(response.find("Allow: GET"), std::string::npos);
   EXPECT_GE(bad_method.value(), before + 1.0);
@@ -395,11 +371,10 @@ TEST(TimerHeap, KeepAliveRequestsKeepOneDeadlinePerConnection) {
   const auto manifest = testing::small_manifest();
   const auto trace = trace::ThroughputTrace::constant(8000.0, 600.0);
   ChunkServerOptions options;
-  options.engine = ServerEngine::kSharded;
   options.shards = 1;
   ChunkServer server(manifest, trace, /*speedup=*/50.0, options);
   server.start();
-  const auto& sharded = dynamic_cast<const EpollServer&>(server.transport());
+  const EpollServer& sharded = server.transport();
 
   // Each response re-arms the connection's deadline twice (when it starts
   // writing and when it returns to reading); under the 120 s idle window
@@ -523,6 +498,13 @@ TEST(AcceptLoop, SurvivesFdExhaustion) {
   const auto trace = trace::ThroughputTrace::constant(8000.0, 600.0);
   ChunkServer server(manifest, trace, /*speedup=*/50.0);
   server.start();
+  // One request through every shard first: a server thread still doing its
+  // first-use set-up can hold a descriptor for an instant, and would take
+  // the one reserved for the client below.
+  for (std::size_t i = 0; i < server.transport().shard_count(); ++i) {
+    HttpClient warm("127.0.0.1", server.port(), 3000);
+    ASSERT_EQ(warm.request("/healthz").status, 200);
+  }
 
   // Reserve one fd for the client socket, then hog every other free fd.
   const int reserved = ::dup(STDOUT_FILENO);
@@ -553,7 +535,8 @@ TEST(AcceptLoop, SurvivesFdExhaustion) {
   client.set_timeout_ms(5000);
   client.write_all(
       "GET /healthz HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n");
-  const std::string response = read_to_eof(client);
+  const auto [response, eof] = read_to_eof(client);
+  EXPECT_TRUE(eof) << "the request's Connection: close was not honoured";
   EXPECT_NE(response.find("200 OK"), std::string::npos);
   EXPECT_NE(response.find("ok\n"), std::string::npos);
   server.stop();

@@ -1,11 +1,8 @@
-#include "net/shaper.hpp"
-
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <chrono>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "media/manifest.hpp"
@@ -18,81 +15,16 @@
 namespace abr::net {
 namespace {
 
-/// Receives everything from a stream until EOF; returns byte count.
-std::size_t drain(TcpStream& stream) {
-  char buffer[65536];
-  std::size_t total = 0;
-  while (true) {
-    const std::size_t n = stream.read(buffer, sizeof(buffer));
-    if (n == 0) return total;
-    total += n;
-  }
-}
-
-double shaped_transfer_seconds(const trace::ThroughputTrace& trace,
-                               double speedup, std::size_t bytes) {
-  TcpListener listener = TcpListener::bind_loopback();
-  std::size_t received = 0;
-  std::thread receiver([&listener, &received] {
-    TcpStream peer = listener.accept();
-    received = drain(peer);
-  });
-
-  TcpStream sender = TcpStream::connect("127.0.0.1", listener.port());
-  TraceShaper shaper(trace, speedup);
-  const std::string payload(bytes, 'z');
-  const auto start = std::chrono::steady_clock::now();
-  shaper.send(sender, payload);
-  sender.shutdown_write();
-  receiver.join();
-  const auto end = std::chrono::steady_clock::now();
-  EXPECT_EQ(received, bytes);
-  return std::chrono::duration<double>(end - start).count();
-}
-
-TEST(TraceShaper, ConstantRateTransferTakesExpectedTime) {
-  // 500 kB at 2 Mbps = 2 s of trace time; at speedup 10 => ~0.2 s wall.
-  const auto trace = trace::ThroughputTrace::constant(2000.0, 1000.0);
-  const double wall = shaped_transfer_seconds(trace, 10.0, 500 * 1000);
-  EXPECT_GT(wall, 0.12);
-  EXPECT_LT(wall, 0.45);
-}
-
-TEST(TraceShaper, FasterTraceFinishesSooner) {
-  const auto slow = trace::ThroughputTrace::constant(1000.0, 1000.0);
-  const auto fast = trace::ThroughputTrace::constant(8000.0, 1000.0);
-  const double slow_wall = shaped_transfer_seconds(slow, 20.0, 400 * 1000);
-  const double fast_wall = shaped_transfer_seconds(fast, 20.0, 400 * 1000);
-  EXPECT_LT(fast_wall, slow_wall);
-  EXPECT_GT(slow_wall / fast_wall, 3.0);  // nominal ratio is 8x
-}
-
-TEST(TraceShaper, FollowsRateChanges) {
-  // 1 Mbps for 2 s then 8 Mbps: 500 kB = 4000 kb needs
-  // 2 s * 1000 + 0.25 s * 8000 => 2.25 s of trace time.
-  const trace::ThroughputTrace trace({{2.0, 1000.0}, {10.0, 8000.0}});
-  const double wall = shaped_transfer_seconds(trace, 10.0, 500 * 1000);
-  EXPECT_GT(wall, 0.17);
-  EXPECT_LT(wall, 0.40);
-}
-
-TEST(TraceShaper, SessionClockTracksSpeedup) {
-  const auto trace = trace::ThroughputTrace::constant(1000.0, 1000.0);
-  TraceShaper shaper(trace, 50.0);
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
-  // 0.1 s of wall time at speedup 50 ~= 5 s of session time.
-  EXPECT_NEAR(shaper.session_now(), 5.0, 1.5);
-  shaper.reset_epoch();
-  EXPECT_LT(shaper.session_now(), 1.0);
-}
-
-// --- ShaperGate: the sharded engine's re-implementation of TraceShaper ------
+// ShaperGate, the emulated access link: its burst schedule against a
+// per-quantum reference, its FIFO link handover, and shaped transfer times
+// through a ChunkServer.
 
 using Clock = std::chrono::steady_clock;
 
-/// Per-quantum reference: TraceShaper::send's release instants (session
-/// seconds) for a body sent as consecutive pieces (split at stall points),
-/// each cut into kQuantumBytes quanta with a shorter last one.
+/// Per-quantum reference: the release instants (session seconds) of a body
+/// sent as consecutive pieces (split at stall points), each cut into
+/// kQuantumBytes quanta with a shorter last one, one transfer_end_time call
+/// per quantum.
 struct Quantum {
   std::size_t bytes = 0;
   double release_session_s = 0.0;
@@ -106,7 +38,7 @@ std::vector<Quantum> reference_schedule(
   for (const std::size_t piece : pieces) {
     for (std::size_t offset = 0; offset < piece;) {
       const std::size_t quantum =
-          std::min(TraceShaper::kQuantumBytes, piece - offset);
+          std::min(ShaperGate::kQuantumBytes, piece - offset);
       const double quantum_kilobits =
           static_cast<double>(quantum) * 8.0 / 1000.0;
       schedule.push_back(
@@ -227,22 +159,22 @@ TEST(ShaperGate, BurstsStopAtTheStallPointAndTheBodyEnd) {
   ShaperGate gate(trace, 1.0);
   const Clock::time_point probe_at{};
   const Clock::time_point epoch =
-      gate.claim_burst(TraceShaper::kQuantumBytes, probe_at).next_release -
+      gate.claim_burst(ShaperGate::kQuantumBytes, probe_at).next_release -
       wall_offset(trace.transfer_end_time(
-                      TraceShaper::kQuantumBytes * 8.0 / 1000.0, 0.0),
+                      ShaperGate::kQuantumBytes * 8.0 / 1000.0, 0.0),
                   1.0);
   // An hour of a 1 Mbps link has released far more than either piece.
   const Clock::time_point late = epoch + std::chrono::hours(1);
   EXPECT_EQ(gate.claim_burst(20000, late).bytes, 20000u);  // the stall point
   EXPECT_EQ(gate.claim_burst(30000, late).bytes, 30000u);  // the body end
 
-  // Both pieces were charged in TraceShaper quanta cut at the stall point:
+  // Both pieces were charged in quanta cut at the stall point:
   // 16384 + 3616, then 16384 + 13616. The next quantum's release instant
   // shows the exact allowance they used.
   const std::vector<Quantum> reference = reference_schedule(
-      trace, {20000, 30000, TraceShaper::kQuantumBytes});
+      trace, {20000, 30000, ShaperGate::kQuantumBytes});
   const ShaperGate::Burst none =
-      gate.claim_burst(TraceShaper::kQuantumBytes, probe_at);
+      gate.claim_burst(ShaperGate::kQuantumBytes, probe_at);
   EXPECT_EQ(none.bytes, 0u);
   EXPECT_EQ(none.next_release,
             epoch + wall_offset(reference.back().release_session_s, 1.0));
@@ -269,16 +201,13 @@ TEST(ShaperGate, FifoHandsTheLinkOverOnReleaseAndCancel) {
   EXPECT_TRUE(gate.acquire(7));
 }
 
-/// Wall seconds to GET one `bytes`-sized segment from a sharded ChunkServer
-/// whose ShaperGate paces bodies by `trace` (the TraceShaper cases above,
-/// through the reactor).
-double sharded_transfer_seconds(const trace::ThroughputTrace& trace,
-                                double speedup, std::size_t bytes) {
+/// Wall seconds to GET one `bytes`-sized segment from a ChunkServer whose
+/// ShaperGate paces bodies by `trace`.
+double shaped_transfer_seconds(const trace::ThroughputTrace& trace,
+                               double speedup, std::size_t bytes) {
   const double kbps = static_cast<double>(bytes) * 8.0 / 1000.0 / 4.0;
   const auto manifest = media::VideoManifest::cbr(1, 4.0, {kbps}, "timing");
-  ChunkServerOptions options;
-  options.engine = ServerEngine::kSharded;
-  ChunkServer server(manifest, trace, speedup, options);
+  ChunkServer server(manifest, trace, speedup);
   server.start();
   HttpClient client("127.0.0.1", server.port(), 10000);
   EXPECT_EQ(client.request("/healthz").status, 200);  // connect first
@@ -295,7 +224,7 @@ double sharded_transfer_seconds(const trace::ThroughputTrace& trace,
 TEST(ShaperGate, ConstantRateTransferTakesExpectedTime) {
   // 500 kB at 2 Mbps = 2 s of trace time; at speedup 10 => ~0.2 s wall.
   const auto trace = trace::ThroughputTrace::constant(2000.0, 1000.0);
-  const double wall = sharded_transfer_seconds(trace, 10.0, 500 * 1000);
+  const double wall = shaped_transfer_seconds(trace, 10.0, 500 * 1000);
   EXPECT_GT(wall, 0.12);
   EXPECT_LT(wall, 0.45);
 }
@@ -303,8 +232,8 @@ TEST(ShaperGate, ConstantRateTransferTakesExpectedTime) {
 TEST(ShaperGate, FasterTraceFinishesSooner) {
   const auto slow = trace::ThroughputTrace::constant(1000.0, 1000.0);
   const auto fast = trace::ThroughputTrace::constant(8000.0, 1000.0);
-  const double slow_wall = sharded_transfer_seconds(slow, 20.0, 400 * 1000);
-  const double fast_wall = sharded_transfer_seconds(fast, 20.0, 400 * 1000);
+  const double slow_wall = shaped_transfer_seconds(slow, 20.0, 400 * 1000);
+  const double fast_wall = shaped_transfer_seconds(fast, 20.0, 400 * 1000);
   EXPECT_LT(fast_wall, slow_wall);
   EXPECT_GT(slow_wall / fast_wall, 3.0);  // nominal ratio is 8x
 }
@@ -313,7 +242,7 @@ TEST(ShaperGate, FollowsRateChanges) {
   // 1 Mbps for 2 s then 8 Mbps: 500 kB = 4000 kb needs
   // 2 s * 1000 + 0.25 s * 8000 => 2.25 s of trace time.
   const trace::ThroughputTrace trace({{2.0, 1000.0}, {10.0, 8000.0}});
-  const double wall = sharded_transfer_seconds(trace, 10.0, 500 * 1000);
+  const double wall = shaped_transfer_seconds(trace, 10.0, 500 * 1000);
   EXPECT_GT(wall, 0.17);
   EXPECT_LT(wall, 0.40);
 }

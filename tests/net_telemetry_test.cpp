@@ -8,13 +8,16 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <string>
+#include <system_error>
 #include <thread>
 #include <vector>
 
 #include "media/manifest.hpp"
 #include "net/chunk_server.hpp"
 #include "net/http.hpp"
+#include "net/socket.hpp"
 #include "obs/exposition.hpp"
 #include "obs/metrics.hpp"
 #include "obs/names.hpp"
@@ -23,6 +26,10 @@
 
 namespace abr::net {
 namespace {
+
+using namespace std::chrono_literals;
+using testing::eventually;
+using testing::read_to_eof;
 
 /// Enables the (normally disabled) global registry for one test's scope.
 class ScopedMetrics {
@@ -124,6 +131,109 @@ TEST(TelemetryServer, ScrapesAreValidUnderConcurrency) {
   for (std::thread& thread : scrapers) thread.join();
   server.stop();
   EXPECT_FALSE(failed.load());
+}
+
+TEST(TelemetryServer, FifthConnectionPastTheCapGets503) {
+  obs::MetricsRegistry registry;
+  TelemetryServer server(registry);
+  server.start(0);
+
+  // Four holds fill the admission cap of 4. Each trickles a header byte
+  // every ~80 ms and never ends its header block, so the 250 ms
+  // per-progress deadline never cuts it.
+  constexpr std::size_t kCap = 4;
+  std::vector<TcpStream> holds;
+  for (std::size_t i = 0; i < kCap; ++i) {
+    holds.push_back(TcpStream::connect("127.0.0.1", server.port()));
+    holds.back().write_all("GET /metrics HTTP/1.1\r\nX-Trickle: ");
+  }
+  std::atomic<bool> trickling{true};
+  std::thread trickler([&] {
+    try {
+      while (trickling.load()) {
+        for (TcpStream& hold : holds) hold.write_all("a");
+        std::this_thread::sleep_for(80ms);
+      }
+    } catch (const std::system_error&) {
+      // A hold was cut; the assertions below report it.
+    }
+  });
+  // EXPECT, not ASSERT: the trickler must be joined on every path.
+  EXPECT_TRUE(eventually(
+      [&] { return server.transport().active_connections() >= kCap; }));
+
+  TcpStream shed = TcpStream::connect("127.0.0.1", server.port());
+  shed.set_timeout_ms(3000);
+  shed.write_all("GET /metrics HTTP/1.1\r\nHost: t\r\n\r\n");
+  const auto [response, eof] = read_to_eof(shed);
+  EXPECT_TRUE(eof);
+  EXPECT_NE(response.find("503 Service Unavailable"), std::string::npos)
+      << response;
+  EXPECT_NE(response.find("Retry-After: 1\r\n"), std::string::npos);
+  EXPECT_NE(response.find("Connection: close\r\n"), std::string::npos);
+  EXPECT_EQ(server.shed_connections(), 1u);
+  // The holds outlived the shed connection.
+  EXPECT_TRUE(eventually(
+      [&] { return server.transport().active_connections() == kCap; }));
+
+  trickling.store(false);
+  trickler.join();
+  server.stop();
+}
+
+TEST(TelemetryServer, MalformedRequestGets400ThenEof) {
+  obs::MetricsRegistry registry;
+  TelemetryServer server(registry);
+  server.start(0);
+
+  TcpStream stream = TcpStream::connect("127.0.0.1", server.port());
+  stream.set_timeout_ms(3000);
+  stream.write_all("this is not http\r\n\r\n");
+  const auto [response, eof] = read_to_eof(stream);
+  EXPECT_NE(response.find("400 Bad Request"), std::string::npos) << response;
+  EXPECT_NE(response.find("Connection: close\r\n"), std::string::npos);
+  EXPECT_TRUE(eof);
+  server.stop();
+}
+
+TEST(TelemetryServer, UnfinishedHeaderBlockIsCutAtTheDeadline) {
+  obs::MetricsRegistry registry;
+  TelemetryServer server(registry);
+  server.start(0);
+
+  // Half a header block, then silence: the server drops the connection
+  // about its 250 ms deadline later, long before the client's own 3 s
+  // timeout would end the wait.
+  TcpStream stream = TcpStream::connect("127.0.0.1", server.port());
+  stream.set_timeout_ms(3000);
+  stream.write_all("GET /metrics HTTP/1.1\r\nX-Never: ");
+  const auto start = std::chrono::steady_clock::now();
+  const auto [response, eof] = read_to_eof(stream);
+  const double waited =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
+          .count();
+  EXPECT_TRUE(eof);
+  EXPECT_TRUE(response.empty()) << response;
+  EXPECT_GT(waited, 0.1);
+  EXPECT_LT(waited, 1.5);
+  server.stop();
+}
+
+TEST(TelemetryServer, PostGets405WithAllowGet) {
+  obs::MetricsRegistry registry;
+  TelemetryServer server(registry);
+  server.start(0);
+
+  TcpStream stream = TcpStream::connect("127.0.0.1", server.port());
+  stream.set_timeout_ms(3000);
+  stream.write_all("POST /metrics HTTP/1.1\r\nHost: t\r\n\r\n");
+  const auto [response, eof] = read_to_eof(stream);
+  EXPECT_NE(response.find("405 Method Not Allowed"), std::string::npos)
+      << response;
+  EXPECT_NE(response.find("Allow: GET\r\n"), std::string::npos);
+  EXPECT_NE(response.find("Connection: close\r\n"), std::string::npos);
+  EXPECT_TRUE(eof);
+  server.stop();
 }
 
 TEST(ChunkServer, ServesTelemetryWhileSessionsStream) {

@@ -1,9 +1,14 @@
 #pragma once
 
+#include <chrono>
+#include <string>
+#include <system_error>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "media/manifest.hpp"
+#include "net/socket.hpp"
 #include "predict/predictor.hpp"
 #include "qoe/qoe.hpp"
 #include "sim/controller.hpp"
@@ -64,6 +69,45 @@ inline qoe::QoeModel balanced_qoe() {
 /// A small 3-level video for fast tests: 8 chunks of 4 s.
 inline media::VideoManifest small_manifest() {
   return media::VideoManifest::cbr(8, 4.0, {300.0, 750.0, 1500.0}, "small");
+}
+
+/// Polls `predicate` every 2 ms for up to `deadline`; true when it held.
+template <typename Predicate>
+bool eventually(Predicate predicate, std::chrono::milliseconds deadline =
+                                         std::chrono::milliseconds(2000)) {
+  const auto give_up = std::chrono::steady_clock::now() + deadline;
+  while (std::chrono::steady_clock::now() < give_up) {
+    if (predicate()) return true;
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  return predicate();
+}
+
+/// What a raw test peer read before the stream ended.
+struct ReadToEof {
+  std::string bytes;
+  /// True when the server closed the stream; false when a read error (the
+  /// socket timeout, a reset) ended it.
+  bool eof = false;
+};
+
+/// Reads from `stream` until EOF or a read error.
+inline ReadToEof read_to_eof(net::TcpStream& stream) {
+  ReadToEof result;
+  char buffer[4096];
+  try {
+    while (true) {
+      const std::size_t n = stream.read(buffer, sizeof(buffer));
+      if (n == 0) {
+        result.eof = true;
+        break;
+      }
+      result.bytes.append(buffer, n);
+    }
+  } catch (const std::system_error&) {
+    // Timeout or reset: return what we have.
+  }
+  return result;
 }
 
 }  // namespace abr::testing
