@@ -43,6 +43,7 @@
 #include "sim/fleet_engine.hpp"
 #include "sim/multiplayer.hpp"
 #include "trace/throughput_trace.hpp"
+#include "util/json.hpp"
 
 namespace {
 
@@ -205,17 +206,6 @@ double peak_rss_mb() {
   return static_cast<double>(usage.ru_maxrss) / 1024.0;  // KB on Linux
 }
 
-/// Pulls `"key": <number>` out of a flat JSON text (same convention as
-/// solver_bench: our own baseline files only).
-bool extract_number(const std::string& json, const std::string& key,
-                    double* out) {
-  const std::string needle = "\"" + key + "\":";
-  const std::size_t pos = json.find(needle);
-  if (pos == std::string::npos) return false;
-  *out = std::strtod(json.c_str() + pos + needle.size(), nullptr);
-  return true;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -251,32 +241,37 @@ int main(int argc, char** argv) {
     }
   }
 
+  using abr::util::json_number;
   std::ostringstream json;
   json << "{\n";
   json << "  \"config\": {\"sessions\": " << options.sessions
        << ", \"engine\": \"" << options.engine
        << "\", \"chunks\": " << options.chunks
-       << ", \"chunk_duration_s\": " << options.chunk_duration_s
-       << ", \"dt_s\": " << options.dt_s
-       << ", \"arrival_window_factor\": " << options.arrival_window_factor
-       << ", \"link_kbps_per_session\": " << options.link_kbps_per_session
-       << "},\n";
+       << ", \"chunk_duration_s\": " << json_number(options.chunk_duration_s)
+       << ", \"dt_s\": " << json_number(options.dt_s)
+       << ", \"arrival_window_factor\": "
+       << json_number(options.arrival_window_factor)
+       << ", \"link_kbps_per_session\": "
+       << json_number(options.link_kbps_per_session) << "},\n";
   json << "  \"soak\": {\n";
-  json << "    \"wall_s\": " << soak.wall_s << ",\n";
-  json << "    \"sessions_per_sec\": " << soak.sessions_per_sec << ",\n";
-  json << "    \"p50_step_us\": " << step_latency.p50 << ",\n";
-  json << "    \"p99_step_us\": " << step_latency.p99 << ",\n";
+  json << "    \"wall_s\": " << json_number(soak.wall_s) << ",\n";
+  json << "    \"sessions_per_sec\": " << json_number(soak.sessions_per_sec)
+       << ",\n";
+  json << "    \"p50_step_us\": " << json_number(step_latency.p50) << ",\n";
+  json << "    \"p99_step_us\": " << json_number(step_latency.p99) << ",\n";
   json << "    \"steps\": " << step_latency.count << ",\n";
-  json << "    \"peak_rss_mb\": " << rss_mb << ",\n";
+  json << "    \"peak_rss_mb\": " << json_number(rss_mb) << ",\n";
   json << "    \"total_chunks\": " << soak.total_chunks << ",\n";
-  json << "    \"qoe_sum\": " << soak.qoe_sum << ",\n";
-  json << "    \"jain_fairness\": " << soak.jain << ",\n";
-  json << "    \"link_utilization\": " << soak.link_utilization << "\n";
+  json << "    \"qoe_sum\": " << json_number(soak.qoe_sum) << ",\n";
+  json << "    \"jain_fairness\": " << json_number(soak.jain) << ",\n";
+  json << "    \"link_utilization\": " << json_number(soak.link_utilization)
+       << "\n";
   json << "  }";
   if (options.compare_reference) {
     json << ",\n  \"compare\": {\n";
-    json << "    \"reference_wall_s\": " << reference_wall_s << ",\n";
-    json << "    \"speedup\": " << speedup << "\n  }";
+    json << "    \"reference_wall_s\": " << json_number(reference_wall_s)
+         << ",\n";
+    json << "    \"speedup\": " << json_number(speedup) << "\n  }";
   }
   json << "\n}\n";
 
@@ -290,14 +285,15 @@ int main(int argc, char** argv) {
 
   if (!options.baseline.empty()) {
     std::ifstream in(options.baseline);
-    if (!in) {
-      std::cerr << "fleet_bench: cannot read baseline " << options.baseline
-                << "\n";
-      return 2;
-    }
     std::ostringstream buffer;
     buffer << in.rdbuf();
-    const std::string baseline = buffer.str();
+    abr::util::Json baseline;
+    std::string error;
+    if (!in || !abr::util::parse_json(buffer.str(), baseline, error)) {
+      std::cerr << "fleet_bench: cannot read baseline " << options.baseline
+                << " " << error << "\n";
+      return 2;
+    }
 
     // Deterministic outcome metrics: hard gate (pure function of config).
     struct Metric {
@@ -306,18 +302,19 @@ int main(int argc, char** argv) {
       double tolerance;
     };
     const Metric metrics[] = {
-        {"total_chunks", static_cast<double>(soak.total_chunks), 0.0},
-        {"qoe_sum", soak.qoe_sum, 1e-6},
-        {"jain_fairness", soak.jain, 1e-9},
-        {"link_utilization", soak.link_utilization, 1e-9},
+        {"soak.total_chunks", static_cast<double>(soak.total_chunks), 0.0},
+        {"soak.qoe_sum", soak.qoe_sum, 1e-6},
+        {"soak.jain_fairness", soak.jain, 1e-9},
+        {"soak.link_utilization", soak.link_utilization, 1e-9},
     };
     for (const Metric& metric : metrics) {
-      double expected = 0.0;
-      if (!extract_number(baseline, metric.key, &expected)) {
+      const abr::util::Json& found = baseline.get(metric.key);
+      if (found.kind != abr::util::Json::Kind::kNumber) {
         std::cerr << "fleet_bench: baseline missing " << metric.key << "\n";
         failed = true;
         continue;
       }
+      const double expected = found.number;
       const double drift = std::abs(metric.value - expected);
       if (drift > metric.tolerance * std::abs(expected)) {
         std::cerr << "fleet_bench: FAIL " << metric.key << " = "
@@ -328,9 +325,8 @@ int main(int argc, char** argv) {
     }
 
     // Throughput: loose gate against the committed baseline.
-    double baseline_rate = 0.0;
-    if (extract_number(baseline, "sessions_per_sec", &baseline_rate) &&
-        baseline_rate > 0.0) {
+    const double baseline_rate = baseline.get("soak.sessions_per_sec").number;
+    if (baseline_rate > 0.0) {
       if (soak.sessions_per_sec < options.min_sessions_frac * baseline_rate) {
         std::cerr << "fleet_bench: FAIL sessions/sec "
                   << soak.sessions_per_sec << " < "

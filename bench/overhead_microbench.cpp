@@ -26,6 +26,7 @@
 #include "obs/names.hpp"
 #include "obs/span.hpp"
 #include "qoe/qoe.hpp"
+#include "util/json.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -277,7 +278,7 @@ BENCHMARK(BM_Journal_ChunkRecord);
 void BM_Journal_NumberFormatting(benchmark::State& state) {
   util::Rng rng(17);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(obs::json_number(rng.uniform(0.0, 70000.0)));
+    benchmark::DoNotOptimize(util::json_number(rng.uniform(0.0, 70000.0)));
   }
 }
 BENCHMARK(BM_Journal_NumberFormatting);

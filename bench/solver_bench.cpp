@@ -34,6 +34,7 @@
 #include "core/horizon_solver.hpp"
 #include "media/manifest.hpp"
 #include "qoe/qoe.hpp"
+#include "util/json.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 
@@ -91,19 +92,8 @@ Options parse_options(int argc, char** argv) {
   return options;
 }
 
-/// Pulls `"key": <number>` out of a flat JSON text. Good enough for reading
-/// our own baseline files without a JSON dependency.
-bool extract_number(const std::string& json, const std::string& key,
-                    double* out) {
-  const std::string needle = "\"" + key + "\":";
-  const std::size_t pos = json.find(needle);
-  if (pos == std::string::npos) return false;
-  *out = std::strtod(json.c_str() + pos + needle.size(), nullptr);
-  return true;
-}
-
 struct Metric {
-  const char* key;
+  const char* key;  ///< dot-separated path into the baseline document
   double value;
   double tolerance;  ///< allowed relative drift (decisions can shift with libm)
 };
@@ -264,6 +254,7 @@ int main(int argc, char** argv) {
   }
 
   // --- Report -------------------------------------------------------------
+  using abr::util::json_number;
   std::ostringstream json;
   json << "{\n";
   json << "  \"config\": {\"buffer_bins\": " << options.buffer_bins
@@ -274,9 +265,11 @@ int main(int argc, char** argv) {
   json << "    \"cells\": " << cold_table.cell_count() << ",\n";
   json << "    \"cold_nodes\": " << cold_stats.total_nodes_expanded << ",\n";
   json << "    \"warm_nodes\": " << warm_stats.total_nodes_expanded << ",\n";
-  json << "    \"node_reduction\": " << build_reduction << ",\n";
-  json << "    \"cold_wall_s\": " << cold_stats.wall_seconds << ",\n";
-  json << "    \"warm_wall_s\": " << warm_stats.wall_seconds << ",\n";
+  json << "    \"node_reduction\": " << json_number(build_reduction) << ",\n";
+  json << "    \"cold_wall_s\": " << json_number(cold_stats.wall_seconds)
+       << ",\n";
+  json << "    \"warm_wall_s\": " << json_number(warm_stats.wall_seconds)
+       << ",\n";
   json << "    \"run_count\": " << warm_table.run_count() << ",\n";
   json << "    \"rle_binary_bytes\": " << warm_table.rle_binary_bytes()
        << ",\n";
@@ -287,17 +280,21 @@ int main(int argc, char** argv) {
   json << "    \"solves\": " << options.chunks << ",\n";
   json << "    \"cold_nodes\": " << online_cold_nodes << ",\n";
   json << "    \"warm_nodes\": " << online_warm_nodes << ",\n";
-  json << "    \"node_reduction\": " << online_reduction << ",\n";
-  json << "    \"cold_p50_us\": " << cold_latency_us.percentile(50.0) << ",\n";
-  json << "    \"cold_p99_us\": " << cold_latency_us.percentile(99.0) << ",\n";
-  json << "    \"warm_p50_us\": " << warm_latency_us.percentile(50.0) << ",\n";
-  json << "    \"warm_p99_us\": " << warm_latency_us.percentile(99.0) << ",\n";
+  json << "    \"node_reduction\": " << json_number(online_reduction) << ",\n";
+  json << "    \"cold_p50_us\": "
+       << json_number(cold_latency_us.percentile(50.0)) << ",\n";
+  json << "    \"cold_p99_us\": "
+       << json_number(cold_latency_us.percentile(99.0)) << ",\n";
+  json << "    \"warm_p50_us\": "
+       << json_number(warm_latency_us.percentile(50.0)) << ",\n";
+  json << "    \"warm_p99_us\": "
+       << json_number(warm_latency_us.percentile(99.0)) << ",\n";
   json << "    \"decisions_match\": " << (online_match ? "true" : "false")
        << "\n  },\n";
   json << "  \"lookup\": {\n";
   json << "    \"ops\": " << lookup_ops << ",\n";
-  json << "    \"rle_ns_per_op\": " << rle_ns << ",\n";
-  json << "    \"flat_ns_per_op\": " << flat_ns << ",\n";
+  json << "    \"rle_ns_per_op\": " << json_number(rle_ns) << ",\n";
+  json << "    \"flat_ns_per_op\": " << json_number(flat_ns) << ",\n";
   json << "    \"checksum\": " << rle_checksum << ",\n";
   json << "    \"decisions_match\": "
        << (rle_checksum == flat_checksum ? "true" : "false") << "\n  }\n";
@@ -314,33 +311,37 @@ int main(int argc, char** argv) {
   // --- Baseline gate: deterministic metrics only --------------------------
   if (!options.baseline.empty()) {
     std::ifstream in(options.baseline);
-    if (!in) {
-      std::cerr << "solver_bench: cannot read baseline " << options.baseline
-                << "\n";
-      return 2;
-    }
     std::ostringstream buffer;
     buffer << in.rdbuf();
-    const std::string baseline = buffer.str();
+    abr::util::Json baseline;
+    std::string error;
+    if (!in || !abr::util::parse_json(buffer.str(), baseline, error)) {
+      std::cerr << "solver_bench: cannot read baseline " << options.baseline
+                << " " << error << "\n";
+      return 2;
+    }
 
     const Metric metrics[] = {
-        {"cells", static_cast<double>(cold_table.cell_count()), 0.0},
-        {"cold_nodes", static_cast<double>(cold_stats.total_nodes_expanded),
+        {"table_build.cells", static_cast<double>(cold_table.cell_count()),
+         0.0},
+        {"table_build.cold_nodes",
+         static_cast<double>(cold_stats.total_nodes_expanded), 0.02},
+        {"table_build.warm_nodes",
+         static_cast<double>(warm_stats.total_nodes_expanded), 0.02},
+        {"table_build.run_count", static_cast<double>(warm_table.run_count()),
          0.02},
-        {"warm_nodes", static_cast<double>(warm_stats.total_nodes_expanded),
-         0.02},
-        {"run_count", static_cast<double>(warm_table.run_count()), 0.02},
-        {"rle_binary_bytes", static_cast<double>(warm_table.rle_binary_bytes()),
-         0.02},
-        {"checksum", static_cast<double>(rle_checksum), 0.02},
+        {"table_build.rle_binary_bytes",
+         static_cast<double>(warm_table.rle_binary_bytes()), 0.02},
+        {"lookup.checksum", static_cast<double>(rle_checksum), 0.02},
     };
     for (const Metric& metric : metrics) {
-      double expected = 0.0;
-      if (!extract_number(baseline, metric.key, &expected)) {
+      const abr::util::Json& found = baseline.get(metric.key);
+      if (found.kind != abr::util::Json::Kind::kNumber) {
         std::cerr << "solver_bench: baseline missing " << metric.key << "\n";
         failed = true;
         continue;
       }
+      const double expected = found.number;
       const double drift = std::abs(metric.value - expected);
       if (drift > metric.tolerance * expected) {
         std::cerr << "solver_bench: FAIL " << metric.key << " = "

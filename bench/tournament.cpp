@@ -12,6 +12,7 @@
 // default is the full EXPERIMENTS.md matrix. Exit status is non-zero on any
 // cross-check violation, baseline regression, or cell failure.
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -25,9 +26,9 @@
 #include "core/dp_solver.hpp"
 #include "core/horizon_solver.hpp"
 #include "media/manifest.hpp"
-#include "obs/journal.hpp"
 #include "qoe/qoe.hpp"
 #include "testing/scenario_matrix.hpp"
+#include "util/json.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -111,54 +112,48 @@ abr::core::DpHorizonSolver::CrossCheckStats run_cross_check(
   return solver.cross_check_stats();
 }
 
-/// Pulls `"key": <number>` out of a flat JSON object fragment.
-bool extract_number(const std::string& json, const std::string& key,
-                    double* out) {
-  const std::string needle = "\"" + key + "\":";
-  const std::size_t pos = json.find(needle);
-  if (pos == std::string::npos) return false;
-  *out = std::strtod(json.c_str() + pos + needle.size(), nullptr);
-  return true;
-}
-
 /// Gates each current cell's rebuffer ratio against the committed baseline:
 /// a cell fails when its ratio exceeds baseline + max(0.02, 50% relative).
 /// Cells absent from the baseline (new algorithms) are reported, not gated.
 int gate_against_baseline(const std::string& baseline_path,
                           const std::vector<abr::testing::CellResult>& cells) {
   std::ifstream in(baseline_path);
-  if (!in) {
-    std::fprintf(stderr, "tournament: cannot read baseline %s\n",
-                 baseline_path.c_str());
-    return 1;
-  }
   std::stringstream buffer;
   buffer << in.rdbuf();
-  const std::string baseline = buffer.str();
+  abr::util::Json baseline;
+  std::string error;
+  if (!in || !abr::util::parse_json(buffer.str(), baseline, error)) {
+    std::fprintf(stderr, "tournament: cannot read baseline %s %s\n",
+                 baseline_path.c_str(), error.c_str());
+    return 1;
+  }
+  const std::vector<abr::util::Json>& baseline_cells =
+      baseline.get("report.cells").items;
 
   int failures = 0;
   std::size_t skipped = 0;
   for (const auto& cell : cells) {
-    // Locate the baseline cell by its identity prefix; cell objects are
-    // emitted with algorithm/family/scenario as the first three keys.
-    const std::string prefix = "{\"algorithm\": \"" + cell.algorithm +
-                               "\", \"family\": \"" + cell.family +
-                               "\", \"scenario\": \"" + cell.scenario + "\"";
-    const std::size_t pos = baseline.find(prefix);
-    if (pos == std::string::npos) {
+    // A baseline cell is identified by its algorithm/family/scenario.
+    const auto match = std::find_if(
+        baseline_cells.begin(), baseline_cells.end(),
+        [&cell](const abr::util::Json& candidate) {
+          return candidate.get("algorithm").text == cell.algorithm &&
+                 candidate.get("family").text == cell.family &&
+                 candidate.get("scenario").text == cell.scenario;
+        });
+    if (match == baseline_cells.end()) {
       ++skipped;
       continue;
     }
-    const std::size_t end = baseline.find('}', pos);
-    const std::string fragment = baseline.substr(pos, end - pos);
-    double expected = 0.0;
-    if (!extract_number(fragment, "rebuffer_ratio", &expected)) {
+    const abr::util::Json& ratio = match->get("rebuffer_ratio");
+    if (ratio.kind != abr::util::Json::Kind::kNumber) {
       std::fprintf(stderr, "tournament: baseline cell %s/%s/%s lacks "
                    "rebuffer_ratio\n", cell.algorithm.c_str(),
                    cell.family.c_str(), cell.scenario.c_str());
       ++failures;
       continue;
     }
+    const double expected = ratio.number;
     const double allowance = std::max(0.02, 0.5 * expected);
     if (cell.rebuffer_ratio > expected + allowance) {
       std::fprintf(stderr,
@@ -220,9 +215,9 @@ int main(int argc, char** argv) {
   json += ", \"first_decision_matches\": ";
   json += std::to_string(stats.first_decision_matches);
   json += ", \"max_gap\": ";
-  json += abr::obs::json_number(stats.max_gap);
+  json += abr::util::json_number(stats.max_gap);
   json += ", \"max_tolerance_bound\": ";
-  json += abr::obs::json_number(max_bound);
+  json += abr::util::json_number(max_bound);
   json += "},\n  \"report\": ";
   json += report.to_json();
   if (!json.empty() && json.back() == '\n') json.pop_back();

@@ -2,8 +2,9 @@
 //
 // Invariants on an accepted plan: validate() holds, decide() is a pure
 // function of (seed, chunk, attempt), the attempt cap is respected, and
-// to_json -> from_json -> to_json is a fixed point (every accepted plan's
-// fields are double-representable, so one round closes the loop).
+// to_json -> from_json -> to_json is a fixed point (integer fields print
+// and load digit for digit, and every double prints in a form that reads
+// back as the same double, so one round closes the loop).
 
 #include <cstdint>
 #include <stdexcept>

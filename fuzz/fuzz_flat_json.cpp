@@ -1,7 +1,8 @@
-// Fuzzes the flat-JSON line parser shared by the session journal and
-// abrreport. Invariants: rejection always carries an error message; an
-// accepted line holds only finite numbers (the strict JSON grammar bans
-// NaN/Inf spellings) and reparses to the same object.
+// Fuzzes abrreport's journal-record rule (tools::parse_flat_json) and,
+// under it, the shared util/json reader. Invariants: rejection always
+// carries an error message; an accepted line holds only scalars and finite
+// numbers (the strict JSON grammar bans NaN/Inf spellings) and reparses to
+// the same object.
 
 #include <cmath>
 #include <cstdint>
@@ -48,6 +49,8 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
       case JsonValue::Kind::kBoolean:
         ABR_FUZZ_REQUIRE(it->second.boolean == value.boolean);
         break;
+      default:
+        ABR_FUZZ_REQUIRE_MSG(false, "a journal record holds scalars only");
     }
   }
   return 0;

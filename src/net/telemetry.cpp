@@ -2,14 +2,14 @@
 
 #include <sstream>
 
-#include "obs/journal.hpp"
 #include "obs/names.hpp"
+#include "util/json.hpp"
 
 namespace abr::net {
 
 std::string statusz_json(const TelemetryStatus& status) {
   std::string out = "{";
-  out += "\"uptime_s\":" + obs::json_number(status.uptime_s);
+  out += "\"uptime_s\":" + util::json_number(status.uptime_s);
   out += ",\"draining\":";
   out += status.draining ? "true" : "false";
   out += ",\"active_connections\":" +
@@ -17,10 +17,6 @@ std::string statusz_json(const TelemetryStatus& status) {
   out += ",\"peak_connections\":" + std::to_string(status.peak_connections);
   out += ",\"shed_connections\":" + std::to_string(status.shed_connections);
   out += ",\"requests_served\":" + std::to_string(status.requests_served);
-  for (const std::string& fragment : status.extra) {
-    out += ',';
-    out += fragment;
-  }
   out += "}";
   return out;
 }

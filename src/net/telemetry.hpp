@@ -6,7 +6,6 @@
 #include <functional>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "net/epoll_server.hpp"
 #include "net/http.hpp"
@@ -26,10 +25,6 @@ struct TelemetryStatus {
   std::size_t peak_connections = 0;
   std::size_t shed_connections = 0;
   std::size_t requests_served = 0;
-  /// Extra preformatted JSON members (e.g. "\"sessions\":4"), appended
-  /// verbatim after the standard fields. Each entry must be a complete
-  /// `"key":value` fragment.
-  std::vector<std::string> extra;
 };
 
 /// Compact single-line JSON for /statusz.

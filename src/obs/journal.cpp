@@ -1,67 +1,11 @@
 #include "obs/journal.hpp"
 
-#include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <stdexcept>
 
 #include "obs/metrics.hpp"
 #include "obs/names.hpp"
 
 namespace abr::obs {
-
-std::string json_escape(std::string_view text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x",
-                        static_cast<unsigned>(c));
-          out += buffer;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-std::string json_number(double value) {
-  if (!std::isfinite(value)) {
-    // JSON has no Inf/NaN; journals only carry finite quantities, but a
-    // defensive null beats emitting an unparsable token.
-    return "null";
-  }
-  char buffer[40];
-  // Integral doubles print as plain integers ("350", not "3.5e+02"); %lld
-  // covers every integer a double represents exactly.
-  if (value == std::floor(value) && std::fabs(value) < 9.007199254740992e15) {
-    std::snprintf(buffer, sizeof(buffer), "%lld",
-                  static_cast<long long>(value));
-    return buffer;
-  }
-  // Shortest ascending-precision search. Normal values start at 15: %g
-  // strips trailing zeros, so when fewer than 15 digits round-trip the
-  // 15-digit rendering already collapses to that shorter string (the parsed
-  // string lies within half an ulp of the value, so digits 1..15 are the
-  // short string padded with zeros or nines). Subnormals break that bound
-  // (their ulps are enormous) and keep the full search from 1.
-  const int first_precision =
-      std::fabs(value) >= 2.2250738585072014e-308 ? 15 : 1;
-  for (int precision = first_precision; precision <= 17; ++precision) {
-    std::snprintf(buffer, sizeof(buffer), "%.*g", precision, value);
-    if (std::strtod(buffer, nullptr) == value) break;
-  }
-  return buffer;
-}
 
 namespace {
 
@@ -71,10 +15,12 @@ class LineBuilder {
  public:
   void string(const char* key, std::string_view value) {
     field(key) += '"';
-    line_ += json_escape(value);
+    line_ += util::json_escape(value);
     line_ += '"';
   }
-  void number(const char* key, double value) { field(key) += json_number(value); }
+  void number(const char* key, double value) {
+    field(key) += util::json_number(value);
+  }
   void integer(const char* key, std::size_t value) {
     field(key) += std::to_string(value);
   }

@@ -5,8 +5,8 @@
 #include <memory>
 #include <ostream>
 #include <string>
-#include <string_view>
 
+#include "util/json.hpp"
 #include "util/mutex.hpp"
 #include "util/thread_annotations.hpp"
 
@@ -101,13 +101,10 @@ struct SessionJournalEntry {
   double wasted_kb = 0.0;
 };
 
-/// Escapes `text` for use inside a JSON string literal.
-std::string json_escape(std::string_view text);
-
-/// Deterministic, locale-independent JSON number: the shortest "%.*g"
-/// rendering that round-trips through strtod to the same double. Same
-/// double in, same bytes out — the property byte-identical journals rest on.
-std::string json_number(double value);
+// The JSON layer lives in util/json.hpp; perfbench/src/report.cpp still
+// reaches these two through obs.
+using util::json_escape;
+using util::json_number;
 
 /// Structured session journal: one flat JSON object per line (JSONL).
 /// Thread-safe (fleet simulations share one journal across players); record

@@ -1,9 +1,10 @@
 #include "obs/trace_event.hpp"
 
 #include <cmath>
-#include <cstdio>
 #include <fstream>
 #include <stdexcept>
+
+#include "util/json.hpp"
 
 namespace abr::obs {
 
@@ -13,58 +14,20 @@ std::int64_t to_us(double seconds) {
   return static_cast<std::int64_t>(std::llround(seconds * 1e6));
 }
 
-void append_escaped(std::string& out, std::string_view text) {
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\b': out += "\\b"; break;
-      case '\f': out += "\\f"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
-
-void append_json_string(std::string& out, std::string_view text) {
-  out += '"';
-  append_escaped(out, text);
-  out += '"';
-}
-
-void append_json_number(std::string& out, double value) {
-  if (!std::isfinite(value)) {  // JSON has no Inf/NaN literals
-    out += "null";
-    return;
-  }
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.12g", value);
-  out += buf;
-}
-
 void append_args(std::string& out, const std::vector<TraceArg>& args) {
   out += "{";
   bool first = true;
   for (const TraceArg& arg : args) {
     if (!first) out += ",";
     first = false;
-    append_json_string(out, arg.key);
+    out += '"' + util::json_escape(arg.key) + '"';
     out += ":";
     if (const auto* i = std::get_if<std::int64_t>(&arg.value)) {
       out += std::to_string(*i);
     } else if (const auto* d = std::get_if<double>(&arg.value)) {
-      append_json_number(out, *d);
+      out += util::json_number(*d);
     } else {
-      append_json_string(out, std::get<std::string>(arg.value));
+      out += '"' + util::json_escape(std::get<std::string>(arg.value)) + '"';
     }
   }
   out += "}";
@@ -165,10 +128,10 @@ void TraceWriter::write(std::ostream& out) const {
     if (!first) json += ",\n";
     first = false;
     json += "{\"name\":";
-    append_json_string(json, event.name);
+    json += '"' + util::json_escape(event.name) + '"';
     if (!event.category.empty()) {
       json += ",\"cat\":";
-      append_json_string(json, event.category);
+      json += '"' + util::json_escape(event.category) + '"';
     }
     json += ",\"ph\":\"";
     json += event.phase;

@@ -5,9 +5,9 @@
 #include <fstream>
 #include <stdexcept>
 
-#include "obs/journal.hpp"
 #include "obs/metrics.hpp"
 #include "obs/names.hpp"
+#include "util/json.hpp"
 
 namespace abr::sim {
 
@@ -69,9 +69,9 @@ double percentile_sorted(const std::vector<double>& sorted, double q) {
 
 std::string FleetSeries::to_json() const {
   std::string out = "{";
-  out += "\"bucket_s\":" + obs::json_number(config_.bucket_s);
+  out += "\"bucket_s\":" + util::json_number(config_.bucket_s);
   out +=
-      ",\"chunk_duration_s\":" + obs::json_number(config_.chunk_duration_s);
+      ",\"chunk_duration_s\":" + util::json_number(config_.chunk_duration_s);
   out += ",\"evicted\":" + std::to_string(evicted_);
   out += ",\"buckets\":[";
   bool first = true;
@@ -84,16 +84,16 @@ std::string FleetSeries::to_json() const {
         static_cast<double>(bucket.chunks) * config_.chunk_duration_s;
     const double denom = played + bucket.rebuffer_s;
     out += "{\"t0_s\":" +
-           obs::json_number(static_cast<double>(bucket.index) *
-                            config_.bucket_s);
+           util::json_number(static_cast<double>(bucket.index) *
+                             config_.bucket_s);
     out += ",\"chunks\":" + std::to_string(bucket.chunks);
     out += ",\"sessions_active\":" + std::to_string(bucket.peak_active);
-    out += ",\"qoe_p50\":" + obs::json_number(percentile_sorted(sorted, 0.50));
-    out += ",\"qoe_p90\":" + obs::json_number(percentile_sorted(sorted, 0.90));
-    out += ",\"qoe_p99\":" + obs::json_number(percentile_sorted(sorted, 0.99));
-    out += ",\"rebuffer_s\":" + obs::json_number(bucket.rebuffer_s);
+    out += ",\"qoe_p50\":" + util::json_number(percentile_sorted(sorted, 0.50));
+    out += ",\"qoe_p90\":" + util::json_number(percentile_sorted(sorted, 0.90));
+    out += ",\"qoe_p99\":" + util::json_number(percentile_sorted(sorted, 0.99));
+    out += ",\"rebuffer_s\":" + util::json_number(bucket.rebuffer_s);
     out += ",\"rebuffer_ratio\":" +
-           obs::json_number(denom > 0.0 ? bucket.rebuffer_s / denom : 0.0);
+           util::json_number(denom > 0.0 ? bucket.rebuffer_s / denom : 0.0);
     out += ",\"bitrates\":[";
     bool first_rate = true;
     for (const auto& [kbps, chunks] : bucket.bitrate_chunks) {

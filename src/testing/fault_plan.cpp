@@ -1,14 +1,13 @@
 #include "testing/fault_plan.hpp"
 
-#include <cctype>
-#include <cmath>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 
-#include "util/checked_parse.hpp"
+#include "util/json.hpp"
 #include "util/rng.hpp"
-#include "util/strings.hpp"
 
 namespace abr::testing {
 
@@ -90,157 +89,84 @@ FaultDecision FaultPlan::decide(std::size_t chunk, std::size_t attempt) const {
   return decision;
 }
 
-std::string FaultPlan::to_json() const {
-  std::ostringstream out;
-  out.precision(17);
-  out << "{\n"
-      << "  \"seed\": " << seed << ",\n"
-      << "  \"latency_rate\": " << latency_rate << ",\n"
-      << "  \"stall_rate\": " << stall_rate << ",\n"
-      << "  \"partial_rate\": " << partial_rate << ",\n"
-      << "  \"reset_rate\": " << reset_rate << ",\n"
-      << "  \"http_error_rate\": " << http_error_rate << ",\n"
-      << "  \"latency_min_s\": " << latency_min_s << ",\n"
-      << "  \"latency_max_s\": " << latency_max_s << ",\n"
-      << "  \"stall_min_s\": " << stall_min_s << ",\n"
-      << "  \"stall_max_s\": " << stall_max_s << ",\n"
-      << "  \"http_status\": " << http_status << ",\n"
-      << "  \"error_response_s\": " << error_response_s << ",\n"
-      << "  \"reset_delay_s\": " << reset_delay_s << ",\n"
-      << "  \"max_faulty_attempts\": " << max_faulty_attempts << "\n"
-      << "}\n";
-  return out.str();
-}
-
 namespace {
 
-/// Minimal parser for the flat {"key": number, ...} subset FaultPlan uses.
-class FlatJsonParser {
- public:
-  explicit FlatJsonParser(std::string_view text) : text_(text) {}
-
-  /// Calls visit(key, value) for every pair; throws on malformed input.
-  template <typename Visitor>
-  void parse(Visitor&& visit) {
-    skip_ws();
-    expect('{');
-    skip_ws();
-    if (peek() == '}') {
-      ++pos_;
-      skip_ws();
-      if (pos_ != text_.size()) fail("trailing garbage after object");
-      return;
-    }
-    while (true) {
-      skip_ws();
-      const std::string key = parse_string();
-      skip_ws();
-      expect(':');
-      skip_ws();
-      const double value = parse_number();
-      visit(key, value);
-      skip_ws();
-      const char c = peek();
-      if (c == ',') {
-        ++pos_;
-        continue;
-      }
-      if (c == '}') {
-        ++pos_;
-        skip_ws();
-        if (pos_ != text_.size()) fail("trailing garbage after object");
-        return;
-      }
-      fail("expected ',' or '}'");
-    }
-  }
-
- private:
-  [[noreturn]] void fail(const char* what) const {
-    throw std::invalid_argument(std::string("FaultPlan JSON: ") + what);
-  }
-  char peek() const {
-    if (pos_ >= text_.size()) fail("unexpected end of input");
-    return text_[pos_];
-  }
-  void expect(char c) {
-    if (peek() != c) fail("unexpected character");
-    ++pos_;
-  }
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
-  }
-  std::string parse_string() {
-    expect('"');
-    std::string out;
-    while (peek() != '"') out.push_back(text_[pos_++]);
-    ++pos_;
-    return out;
-  }
-  double parse_number() {
-    const std::size_t start = pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-            text_[pos_] == '-' || text_[pos_] == '+' || text_[pos_] == '.' ||
-            text_[pos_] == 'e' || text_[pos_] == 'E')) {
-      ++pos_;
-    }
-    if (pos_ == start) fail("expected a number");
-    const std::string_view token = text_.substr(start, pos_ - start);
-    // Strict JSON grammar + overflow-checked parse: "NaN", "inf", "1e999",
-    // and stray signs all land on the same malformed-input path.
-    double value = 0.0;
-    if (!util::is_json_number(token) || !util::parse_double(token, value)) {
-      fail("bad number");
-    }
-    return value;
-  }
-
-  std::string_view text_;
-  std::size_t pos_ = 0;
+/// The double-valued fields by JSON name, in to_json order.
+constexpr std::pair<const char*, double FaultPlan::*> kDoubleFields[] = {
+    {"latency_rate", &FaultPlan::latency_rate},
+    {"stall_rate", &FaultPlan::stall_rate},
+    {"partial_rate", &FaultPlan::partial_rate},
+    {"reset_rate", &FaultPlan::reset_rate},
+    {"http_error_rate", &FaultPlan::http_error_rate},
+    {"latency_min_s", &FaultPlan::latency_min_s},
+    {"latency_max_s", &FaultPlan::latency_max_s},
+    {"stall_min_s", &FaultPlan::stall_min_s},
+    {"stall_max_s", &FaultPlan::stall_max_s},
+    {"error_response_s", &FaultPlan::error_response_s},
+    {"reset_delay_s", &FaultPlan::reset_delay_s},
 };
 
 }  // namespace
 
+std::string FaultPlan::to_json() const {
+  std::string out = "{\n  \"seed\": " + std::to_string(seed);
+  for (const auto& [key, field] : kDoubleFields) {
+    out += ",\n  \"" + std::string(key) + "\": " +
+           util::json_number(this->*field);
+  }
+  out += ",\n  \"http_status\": " + std::to_string(http_status);
+  out += ",\n  \"max_faulty_attempts\": " +
+         std::to_string(max_faulty_attempts);
+  return out + "\n}\n";
+}
+
 FaultPlan FaultPlan::from_json(std::string_view json) {
+  util::Json document;
+  std::string error;
+  if (!util::parse_json(json, document, error)) {
+    throw std::invalid_argument("FaultPlan JSON: " + error);
+  }
+  if (document.kind != util::Json::Kind::kObject) {
+    throw std::invalid_argument("FaultPlan JSON: expected an object");
+  }
   FaultPlan plan;
-  FlatJsonParser parser(json);
-  // Integer fields go through the checked double->integer conversions: a
-  // fractional, negative, or out-of-range value is malformed input, not a
-  // silent truncation (the bare static_cast is UB outside the target range).
-  const auto out_of_range = [](const std::string& key) -> std::invalid_argument {
-    return std::invalid_argument("FaultPlan JSON: value out of range for '" +
-                                 key + "'");
-  };
-  parser.parse([&plan, &out_of_range](const std::string& key, double value) {
-    if (key == "seed") {
-      if (!util::u64_from_double(value, plan.seed)) throw out_of_range(key);
+  for (const auto& [key, value] : document.members) {
+    const auto bad = [&key](const char* what) {
+      return std::invalid_argument("FaultPlan JSON: " + std::string(what) +
+                                   " '" + key + "'");
+    };
+    if (value.kind != util::Json::Kind::kNumber) {
+      throw bad("expected a number for");
     }
-    else if (key == "latency_rate") plan.latency_rate = value;
-    else if (key == "stall_rate") plan.stall_rate = value;
-    else if (key == "partial_rate") plan.partial_rate = value;
-    else if (key == "reset_rate") plan.reset_rate = value;
-    else if (key == "http_error_rate") plan.http_error_rate = value;
-    else if (key == "latency_min_s") plan.latency_min_s = value;
-    else if (key == "latency_max_s") plan.latency_max_s = value;
-    else if (key == "stall_min_s") plan.stall_min_s = value;
-    else if (key == "stall_max_s") plan.stall_max_s = value;
-    else if (key == "http_status") {
-      if (!util::int_from_double(value, plan.http_status))
-        throw out_of_range(key);
+    double* field = nullptr;
+    for (const auto& [name, member] : kDoubleFields) {
+      if (key == name) field = &(plan.*member);
     }
-    else if (key == "error_response_s") plan.error_response_s = value;
-    else if (key == "reset_delay_s") plan.reset_delay_s = value;
-    else if (key == "max_faulty_attempts") {
-      if (!util::size_from_double(value, plan.max_faulty_attempts))
-        throw out_of_range(key);
+    // Integer fields convert from the lexeme: a fractional, negative, or
+    // out-of-range value is malformed input, not a silent truncation, and a
+    // seed above 2^53 keeps every digit.
+    std::uint64_t integer = 0;
+    if (field != nullptr) {
+      *field = value.number;
+    } else if (key == "seed") {
+      if (!value.to_u64(plan.seed)) throw bad("value out of range for");
+    } else if (key == "http_status") {
+      if (!value.to_u64(integer) ||
+          integer > static_cast<std::uint64_t>(
+                        std::numeric_limits<int>::max())) {
+        throw bad("value out of range for");
+      }
+      plan.http_status = static_cast<int>(integer);
+    } else if (key == "max_faulty_attempts") {
+      if (!value.to_u64(integer) ||
+          static_cast<std::size_t>(integer) != integer) {
+        throw bad("value out of range for");
+      }
+      plan.max_faulty_attempts = static_cast<std::size_t>(integer);
+    } else {
+      throw bad("unknown key");
     }
-    else
-      throw std::invalid_argument("FaultPlan JSON: unknown key '" + key + "'");
-  });
+  }
   plan.validate();
   return plan;
 }

@@ -7,10 +7,10 @@
 
 #include "media/quality.hpp"
 #include "net/origin_sim.hpp"
-#include "obs/journal.hpp"
 #include "sim/chunk_source.hpp"
 #include "sim/player.hpp"
 #include "testing/faulty_source.hpp"
+#include "util/json.hpp"
 #include "util/parallel.hpp"
 
 namespace abr::testing {
@@ -322,15 +322,16 @@ std::string TournamentReport::to_json() const {
   std::string out = "{\n  \"cells\": [\n";
   for (std::size_t i = 0; i < cells.size(); ++i) {
     const CellResult& c = cells[i];
-    out += "    {\"algorithm\": \"" + obs::json_escape(c.algorithm) +
-           "\", \"family\": \"" + obs::json_escape(c.family) +
-           "\", \"scenario\": \"" + obs::json_escape(c.scenario) +
+    out += "    {\"algorithm\": \"" + util::json_escape(c.algorithm) +
+           "\", \"family\": \"" + util::json_escape(c.family) +
+           "\", \"scenario\": \"" + util::json_escape(c.scenario) +
            "\", \"sessions\": " + std::to_string(c.sessions) +
-           ", \"mean_qoe\": " + obs::json_number(c.mean_qoe) +
-           ", \"mean_bitrate_kbps\": " + obs::json_number(c.mean_bitrate_kbps) +
-           ", \"mean_rebuffer_s\": " + obs::json_number(c.mean_rebuffer_s) +
-           ", \"rebuffer_ratio\": " + obs::json_number(c.rebuffer_ratio) +
-           ", \"mean_switches\": " + obs::json_number(c.mean_switches) +
+           ", \"mean_qoe\": " + util::json_number(c.mean_qoe) +
+           ", \"mean_bitrate_kbps\": " +
+           util::json_number(c.mean_bitrate_kbps) +
+           ", \"mean_rebuffer_s\": " + util::json_number(c.mean_rebuffer_s) +
+           ", \"rebuffer_ratio\": " + util::json_number(c.rebuffer_ratio) +
+           ", \"mean_switches\": " + util::json_number(c.mean_switches) +
            ", \"degraded_chunks\": " + std::to_string(c.degraded_chunks) +
            ", \"skipped_chunks\": " + std::to_string(c.skipped_chunks) +
            ", \"total_attempts\": " + std::to_string(c.total_attempts) +
@@ -342,7 +343,7 @@ std::string TournamentReport::to_json() const {
       // that every pre-existing baseline line stays byte-identical.
       out += ", \"aborted_chunks\": " + std::to_string(c.aborted_chunks) +
              ", \"partial_chunks\": " + std::to_string(c.partial_chunks) +
-             ", \"wasted_kilobits\": " + obs::json_number(c.wasted_kilobits);
+             ", \"wasted_kilobits\": " + util::json_number(c.wasted_kilobits);
     }
     out += "}";
     out += i + 1 < cells.size() ? ",\n" : "\n";
@@ -350,13 +351,14 @@ std::string TournamentReport::to_json() const {
   out += "  ],\n  \"ranking\": [\n";
   for (std::size_t i = 0; i < ranking.size(); ++i) {
     const AlgorithmRank& r = ranking[i];
-    out += "    {\"algorithm\": \"" + obs::json_escape(r.algorithm) +
+    out += "    {\"algorithm\": \"" + util::json_escape(r.algorithm) +
            "\", \"sessions\": " + std::to_string(r.sessions) +
-           ", \"mean_qoe\": " + obs::json_number(r.mean_qoe) +
+           ", \"mean_qoe\": " + util::json_number(r.mean_qoe) +
            ", \"mean_rebuffer_ratio\": " +
-           obs::json_number(r.mean_rebuffer_ratio) +
-           ", \"mean_bitrate_kbps\": " + obs::json_number(r.mean_bitrate_kbps) +
-           ", \"mean_switches\": " + obs::json_number(r.mean_switches) +
+           util::json_number(r.mean_rebuffer_ratio) +
+           ", \"mean_bitrate_kbps\": " +
+           util::json_number(r.mean_bitrate_kbps) +
+           ", \"mean_switches\": " + util::json_number(r.mean_switches) +
            ", \"solver_nodes\": " + std::to_string(r.solver_nodes) + "}";
     out += i + 1 < ranking.size() ? ",\n" : "\n";
   }

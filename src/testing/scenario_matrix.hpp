@@ -126,7 +126,7 @@ struct TournamentReport {
   /// Sorted by mean QoE descending (ties by name for determinism).
   std::vector<AlgorithmRank> ranking;
 
-  /// Deterministic JSON document (obs::json_number rendering): the
+  /// Deterministic JSON document (util::json_number rendering): the
   /// BENCH_tournament.json payload. Byte-identical across runs.
   std::string to_json() const;
   /// Ranked text table (the tools/abrreport idiom) for terminals and docs.

@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 
 #include "core/buffer_based.hpp"
 #include "predict/predictor.hpp"
@@ -135,6 +136,18 @@ TEST(FaultPlan, JsonRoundTripPreservesEveryField) {
   for (std::size_t chunk = 0; chunk < 100; ++chunk) {
     EXPECT_EQ(parsed.decide(chunk, 0).kind, plan.decide(chunk, 0).kind);
   }
+
+  // Seeds a double cannot hold survive the round trip digit for digit.
+  for (const std::uint64_t seed :
+       {std::uint64_t{9007199254740993ull}, std::uint64_t{12345678901234567ull},
+        std::numeric_limits<std::uint64_t>::max()}) {
+    plan.seed = seed;
+    EXPECT_EQ(testing::FaultPlan::from_json(plan.to_json()).seed, seed);
+  }
+  // 0.1 prints as 0.1, not 0.10000000000000001.
+  plan.stall_rate = 0.1;
+  EXPECT_NE(plan.to_json().find("\"stall_rate\": 0.1,"), std::string::npos)
+      << plan.to_json();
 }
 
 TEST(FaultPlan, RejectsMalformedAndOutOfRangeInput) {
@@ -143,6 +156,9 @@ TEST(FaultPlan, RejectsMalformedAndOutOfRangeInput) {
   EXPECT_THROW(testing::FaultPlan::from_json("not json"),
                std::invalid_argument);
   EXPECT_THROW(testing::FaultPlan::from_json("{\"seed\": }"),
+               std::invalid_argument);
+  EXPECT_THROW(testing::FaultPlan::from_json("[1]"), std::invalid_argument);
+  EXPECT_THROW(testing::FaultPlan::from_json("{\"seed\": \"7\"}"),
                std::invalid_argument);
   // Rates summing past 1.
   EXPECT_THROW(testing::FaultPlan::from_json(
@@ -158,11 +174,25 @@ TEST(FaultPlan, RejectsMalformedAndOutOfRangeInput) {
 }
 
 TEST(FaultPlan, IntegerFieldsAreOverflowChecked) {
-  // UINT64_MAX itself is not exactly double-representable; the nearest
-  // representable seed below 2^64 must load without wrapping.
+  // The largest double below 2^64 loads without wrapping.
   const auto plan = testing::FaultPlan::from_json(
       "{\"seed\": 18446744073709549568}");  // 2^64 - 2048
   EXPECT_EQ(plan.seed, 18446744073709549568ull);
+  // Integer lexemes convert exactly, not through a double: 2^53 + 1 and
+  // UINT64_MAX keep their last digit.
+  EXPECT_EQ(testing::FaultPlan::from_json("{\"seed\": 9007199254740993}").seed,
+            9007199254740993ull);
+  EXPECT_EQ(
+      testing::FaultPlan::from_json("{\"seed\": 12345678901234567}").seed,
+      12345678901234567ull);
+  EXPECT_EQ(
+      testing::FaultPlan::from_json("{\"seed\": 18446744073709551615}").seed,
+      std::numeric_limits<std::uint64_t>::max());
+  EXPECT_EQ(testing::FaultPlan::from_json("{\"http_status\": 502}").http_status,
+            502);
+  EXPECT_EQ(testing::FaultPlan::from_json("{\"max_faulty_attempts\": 1e1}")
+                .max_faulty_attempts,
+            10u);
 
   // 2^64 and beyond: stoull-style wraparound to 0 would silently change
   // the fault schedule; the checked parse throws instead.

@@ -53,7 +53,6 @@ TEST(TelemetryResponse, TargetsAndContentTypes) {
   TelemetryStatus status;
   status.uptime_s = 12.5;
   status.active_connections = 3;
-  status.extra.push_back("\"sessions\":4");
 
   const HttpResponse metrics = telemetry_response(registry, "/metrics", status);
   EXPECT_EQ(metrics.status, 200);
@@ -69,7 +68,6 @@ TEST(TelemetryResponse, TargetsAndContentTypes) {
   EXPECT_NE(statusz.body.find("\"uptime_s\":12.5"), std::string::npos)
       << statusz.body;
   EXPECT_NE(statusz.body.find("\"active_connections\":3"), std::string::npos);
-  EXPECT_NE(statusz.body.find("\"sessions\":4"), std::string::npos);
 }
 
 TEST(TelemetryServer, ServesMetricsStatuszAndHealthz) {

@@ -5,7 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cctype>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <sstream>
@@ -19,128 +19,22 @@
 #include "sim/player.hpp"
 #include "test_helpers.hpp"
 #include "trace/throughput_trace.hpp"
+#include "util/json.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
 
 namespace abr::obs {
 namespace {
 
-// --- A minimal JSON syntax checker (no library dependency): accepts the
-// --- full JSON grammar, rejects trailing garbage. Enough to prove the
-// --- trace writer always emits parseable output.
-class JsonChecker {
- public:
-  explicit JsonChecker(std::string_view text) : text_(text) {}
-
-  bool valid() {
-    skip_ws();
-    if (!value()) return false;
-    skip_ws();
-    return pos_ == text_.size();
+/// Succeeds when `text` is one complete JSON document.
+::testing::AssertionResult parses_as_json(const std::string& text) {
+  util::Json document;
+  std::string error;
+  if (util::parse_json(text, document, error)) {
+    return ::testing::AssertionSuccess();
   }
-
- private:
-  bool value() {
-    if (pos_ >= text_.size()) return false;
-    switch (text_[pos_]) {
-      case '{': return object();
-      case '[': return array();
-      case '"': return string();
-      case 't': return literal("true");
-      case 'f': return literal("false");
-      case 'n': return literal("null");
-      default: return number();
-    }
-  }
-
-  bool object() {
-    ++pos_;  // '{'
-    skip_ws();
-    if (peek() == '}') { ++pos_; return true; }
-    while (true) {
-      skip_ws();
-      if (!string()) return false;
-      skip_ws();
-      if (peek() != ':') return false;
-      ++pos_;
-      skip_ws();
-      if (!value()) return false;
-      skip_ws();
-      if (peek() == ',') { ++pos_; continue; }
-      if (peek() == '}') { ++pos_; return true; }
-      return false;
-    }
-  }
-
-  bool array() {
-    ++pos_;  // '['
-    skip_ws();
-    if (peek() == ']') { ++pos_; return true; }
-    while (true) {
-      skip_ws();
-      if (!value()) return false;
-      skip_ws();
-      if (peek() == ',') { ++pos_; continue; }
-      if (peek() == ']') { ++pos_; return true; }
-      return false;
-    }
-  }
-
-  bool string() {
-    if (peek() != '"') return false;
-    ++pos_;
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_];
-      if (c == '"') { ++pos_; return true; }
-      if (static_cast<unsigned char>(c) < 0x20) return false;  // raw control
-      if (c == '\\') {
-        ++pos_;
-        if (pos_ >= text_.size()) return false;
-        const char esc = text_[pos_];
-        if (esc == 'u') {
-          for (int i = 0; i < 4; ++i) {
-            ++pos_;
-            if (pos_ >= text_.size() || !std::isxdigit(static_cast<unsigned char>(text_[pos_]))) return false;
-          }
-        } else if (std::string_view("\"\\/bfnrt").find(esc) ==
-                   std::string_view::npos) {
-          return false;
-        }
-      }
-      ++pos_;
-    }
-    return false;
-  }
-
-  bool number() {
-    const std::size_t start = pos_;
-    if (peek() == '-') ++pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-            text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
-            text_[pos_] == '+' || text_[pos_] == '-')) {
-      ++pos_;
-    }
-    return pos_ > start;
-  }
-
-  bool literal(std::string_view word) {
-    if (text_.substr(pos_, word.size()) != word) return false;
-    pos_ += word.size();
-    return true;
-  }
-
-  char peek() const { return pos_ < text_.size() ? text_[pos_] : '\0'; }
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
-  }
-
-  std::string_view text_;
-  std::size_t pos_ = 0;
-};
+  return ::testing::AssertionFailure() << error;
+}
 
 // --- MetricsRegistry -------------------------------------------------------
 
@@ -385,10 +279,14 @@ TEST(TraceWriterTest, EmitsWellFormedJsonRoundTrip) {
   TraceWriter writer;
   writer.set_process_name("abrsim");
   writer.set_thread_name("player", 0);
-  writer.complete("download \"ch\\unk\"\n", "net", 0.0, 1.25, 0,
+  const std::string name = "download \"ch\\unk\"\n";
+  const std::string note = "quote\" slash\\ tab\t bell\a";
+  const double sum = 0.1 + 0.2;  // 0.30000000000000004: needs 17 digits
+  writer.complete(name, "net", 0.0, 1.25, 0,
                   {{"chunk", std::size_t{0}},
-                   {"note", std::string("quote\" slash\\ tab\t")},
-                   {"kbps", 1234.5}});
+                   {"note", note},
+                   {"kbps", 1234.5},
+                   {"sum", sum}});
   writer.complete("decide", "controller", 1.25, 0.0003, 0);
   writer.instant("playback_start", "playback", 1.25);
   writer.counter("buffer_s", 1.25, 4.0);
@@ -397,8 +295,21 @@ TEST(TraceWriterTest, EmitsWellFormedJsonRoundTrip) {
   writer.write(out);
   const std::string json = out.str();
 
-  JsonChecker checker(json);
-  EXPECT_TRUE(checker.valid()) << json;
+  util::Json document;
+  std::string error;
+  ASSERT_TRUE(util::parse_json(json, document, error)) << error << "\n"
+                                                       << json;
+  const util::Json* download = nullptr;
+  for (const util::Json& event : document.get("traceEvents").items) {
+    if (event.get("name").text == name) download = &event;
+  }
+  ASSERT_NE(download, nullptr) << json;
+  EXPECT_EQ(download->get("args.note").text, note);
+  const util::Json& sum_arg = download->get("args.sum");
+  EXPECT_EQ(sum_arg.kind, util::Json::Kind::kNumber);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(sum_arg.number),
+            std::bit_cast<std::uint64_t>(sum))
+      << sum_arg.text;
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\":\"C\""), std::string::npos);
@@ -417,8 +328,7 @@ TEST(TraceWriterTest, DisabledWriterRecordsNothing) {
   std::ostringstream out;
   writer.write(out);
   const std::string json = out.str();
-  JsonChecker checker(json);
-  EXPECT_TRUE(checker.valid());  // still a valid empty document
+  EXPECT_TRUE(parses_as_json(json));  // still a valid empty document
 }
 
 TEST(TraceWriterTest, ConcurrentAppendsAreSafe) {
@@ -434,8 +344,7 @@ TEST(TraceWriterTest, ConcurrentAppendsAreSafe) {
   std::ostringstream out;
   writer.write(out);
   const std::string json = out.str();
-  JsonChecker checker(json);
-  EXPECT_TRUE(checker.valid());
+  EXPECT_TRUE(parses_as_json(json));
 }
 
 // --- PlayerSession hooks ---------------------------------------------------
@@ -474,8 +383,7 @@ TEST(SessionTelemetry, ChunkSpanCountMatchesChunkCount) {
   std::ostringstream out;
   writer.write(out);
   const std::string json = out.str();
-  JsonChecker checker(json);
-  EXPECT_TRUE(checker.valid());
+  EXPECT_TRUE(parses_as_json(json));
 }
 
 TEST(SessionTelemetry, RebufferSpansAppearWhenSessionStalls) {

@@ -1,11 +1,9 @@
 #include "abrreport.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <cmath>
 #include <cstdarg>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <istream>
 #include <ostream>
@@ -14,179 +12,29 @@
 
 #include "obs/exposition.hpp"
 #include "util/checked_parse.hpp"
-#include "util/strings.hpp"
+#include "util/json.hpp"
 
 namespace abr::tools {
-
-namespace {
-
-void skip_spaces(const std::string& text, std::size_t& pos) {
-  while (pos < text.size() &&
-         std::isspace(static_cast<unsigned char>(text[pos])) != 0) {
-    ++pos;
-  }
-}
-
-/// Appends `codepoint` to `out` as UTF-8 (journal strings only ever escape
-/// ASCII control characters, but accept the full \uXXXX range anyway).
-void append_utf8(std::string& out, unsigned codepoint) {
-  if (codepoint < 0x80) {
-    out += static_cast<char>(codepoint);
-  } else if (codepoint < 0x800) {
-    out += static_cast<char>(0xC0 | (codepoint >> 6));
-    out += static_cast<char>(0x80 | (codepoint & 0x3F));
-  } else {
-    out += static_cast<char>(0xE0 | (codepoint >> 12));
-    out += static_cast<char>(0x80 | ((codepoint >> 6) & 0x3F));
-    out += static_cast<char>(0x80 | (codepoint & 0x3F));
-  }
-}
-
-bool parse_string(const std::string& text, std::size_t& pos, std::string& out,
-                  std::string& error) {
-  out.clear();
-  ++pos;  // opening quote
-  while (pos < text.size()) {
-    const char c = text[pos];
-    if (c == '"') {
-      ++pos;
-      return true;
-    }
-    if (c != '\\') {
-      out += c;
-      ++pos;
-      continue;
-    }
-    if (pos + 1 >= text.size()) break;
-    const char escape = text[pos + 1];
-    pos += 2;
-    switch (escape) {
-      case '"': out += '"'; break;
-      case '\\': out += '\\'; break;
-      case '/': out += '/'; break;
-      case 'b': out += '\b'; break;
-      case 'f': out += '\f'; break;
-      case 'n': out += '\n'; break;
-      case 'r': out += '\r'; break;
-      case 't': out += '\t'; break;
-      case 'u': {
-        if (pos + 4 > text.size()) {
-          error = "truncated \\u escape";
-          return false;
-        }
-        unsigned codepoint = 0;
-        for (int i = 0; i < 4; ++i) {
-          const char hex = text[pos + static_cast<std::size_t>(i)];
-          codepoint <<= 4;
-          if (hex >= '0' && hex <= '9') codepoint |= static_cast<unsigned>(hex - '0');
-          else if (hex >= 'a' && hex <= 'f') codepoint |= static_cast<unsigned>(hex - 'a' + 10);
-          else if (hex >= 'A' && hex <= 'F') codepoint |= static_cast<unsigned>(hex - 'A' + 10);
-          else {
-            error = "bad \\u escape";
-            return false;
-          }
-        }
-        pos += 4;
-        append_utf8(out, codepoint);
-        break;
-      }
-      default:
-        error = std::string("unknown escape \\") + escape;
-        return false;
-    }
-  }
-  error = "unterminated string";
-  return false;
-}
-
-}  // namespace
 
 bool parse_flat_json(const std::string& line, JsonObject& out,
                      std::string& error) {
   out.clear();
-  error.clear();
-  std::size_t pos = 0;
-  skip_spaces(line, pos);
-  if (pos >= line.size() || line[pos] != '{') {
-    error = "expected '{'";
+  util::Json document;
+  if (!util::parse_json(line, document, error)) return false;
+  if (document.kind != util::Json::Kind::kObject) {
+    error = "expected a JSON object";
     return false;
   }
-  ++pos;
-  skip_spaces(line, pos);
-  if (pos < line.size() && line[pos] == '}') {
-    ++pos;
-  } else {
-    while (true) {
-      skip_spaces(line, pos);
-      if (pos >= line.size() || line[pos] != '"') {
-        error = "expected key string";
-        return false;
-      }
-      std::string key;
-      if (!parse_string(line, pos, key, error)) return false;
-      skip_spaces(line, pos);
-      if (pos >= line.size() || line[pos] != ':') {
-        error = "expected ':' after key \"" + key + "\"";
-        return false;
-      }
-      ++pos;
-      skip_spaces(line, pos);
-      if (pos >= line.size()) {
-        error = "missing value for key \"" + key + "\"";
-        return false;
-      }
-      JsonValue value;
-      if (line[pos] == '"') {
-        value.kind = JsonValue::Kind::kString;
-        if (!parse_string(line, pos, value.text, error)) return false;
-      } else if (line.compare(pos, 4, "true") == 0) {
-        value.kind = JsonValue::Kind::kBoolean;
-        value.boolean = true;
-        pos += 4;
-      } else if (line.compare(pos, 5, "false") == 0) {
-        value.kind = JsonValue::Kind::kBoolean;
-        value.boolean = false;
-        pos += 5;
-      } else {
-        value.kind = JsonValue::Kind::kNumber;
-        // Scan the strict JSON number grammar, then do an overflow-checked
-        // parse. A hostile journal line with "NaN", "Infinity", hex floats,
-        // or an overflowing exponent is a malformed record, not a number
-        // (strtod accepts all four).
-        std::size_t token_end = pos;
-        while (token_end < line.size() &&
-               (std::isdigit(static_cast<unsigned char>(line[token_end])) ||
-                line[token_end] == '-' || line[token_end] == '+' ||
-                line[token_end] == '.' || line[token_end] == 'e' ||
-                line[token_end] == 'E')) {
-          ++token_end;
-        }
-        const std::string_view token(line.c_str() + pos, token_end - pos);
-        if (!util::is_json_number(token) ||
-            !util::parse_double(token, value.number)) {
-          error = "bad value for key \"" + key + "\"";
-          return false;
-        }
-        pos = token_end;
-      }
-      out[key] = std::move(value);
-      skip_spaces(line, pos);
-      if (pos < line.size() && line[pos] == ',') {
-        ++pos;
-        continue;
-      }
-      break;
-    }
-    if (pos >= line.size() || line[pos] != '}') {
-      error = "expected '}' or ','";
+  // The journal schema is flat: every value must be a scalar, and a
+  // repeated key keeps its last value.
+  for (auto& [key, value] : document.members) {
+    if (value.kind != JsonValue::Kind::kString &&
+        value.kind != JsonValue::Kind::kNumber &&
+        value.kind != JsonValue::Kind::kBoolean) {
+      error = "bad value for key \"" + key + "\"";
       return false;
     }
-    ++pos;
-  }
-  skip_spaces(line, pos);
-  if (pos != line.size()) {
-    error = "trailing characters after object";
-    return false;
+    out[key] = std::move(value);
   }
   return true;
 }

@@ -6,6 +6,8 @@
 #include <string>
 #include <vector>
 
+#include "util/json.hpp"
+
 // abrreport: offline summarizer for the structured session journal
 // (obs::Journal JSONL) and validator for Prometheus scrape bodies. Reads
 // the one-object-per-line records abrsim/multiplayer emit and renders the
@@ -16,22 +18,17 @@
 
 namespace abr::tools {
 
-/// One scalar from a flat journal record. The journal schema is flat by
-/// design (no nesting), so strings, numbers, and booleans cover it.
-struct JsonValue {
-  enum class Kind { kString, kNumber, kBoolean };
-  Kind kind = Kind::kNumber;
-  std::string text;
-  double number = 0.0;
-  bool boolean = false;
-};
+/// One scalar from a flat journal record: a string, number, or boolean.
+/// The journal schema is flat by design (no nesting).
+using JsonValue = util::Json;
 
 /// One parsed journal line, keyed by field name.
 using JsonObject = std::map<std::string, JsonValue>;
 
-/// Parses one flat JSON object ({"key":value,...}; values are strings,
-/// numbers, or booleans). Returns false and sets `error` on malformed
-/// input; `out` is cleared first either way.
+/// Parses one journal record: a JSON document (util::parse_json) whose top
+/// level is an object and whose values are all strings, numbers, or
+/// booleans. Returns false and sets `error` on malformed input; `out` is
+/// cleared first either way.
 bool parse_flat_json(const std::string& line, JsonObject& out,
                      std::string& error);
 
