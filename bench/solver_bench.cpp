@@ -6,7 +6,8 @@
 //   1. FastMPC table build, cold vs. neighbor-warm-started sweep
 //      (node counts are deterministic; wall time is reported, not judged);
 //   2. online MPC solves over a synthetic session, cold vs. shifted-tail
-//      warm starts, with latency percentiles;
+//      warm starts (node counts gated like the build's), with latency
+//      percentiles;
 //   3. table lookup, RLE binary search vs. decoded flat array.
 //
 // Exits non-zero if warm != cold anywhere, if the table-build node
@@ -332,6 +333,10 @@ int main(int argc, char** argv) {
          0.02},
         {"table_build.rle_binary_bytes",
          static_cast<double>(warm_table.rle_binary_bytes()), 0.02},
+        {"online_solve.cold_nodes", static_cast<double>(online_cold_nodes),
+         0.02},
+        {"online_solve.warm_nodes", static_cast<double>(online_warm_nodes),
+         0.02},
         {"lookup.checksum", static_cast<double>(rle_checksum), 0.02},
     };
     for (const Metric& metric : metrics) {

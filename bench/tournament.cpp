@@ -2,7 +2,7 @@
 // delivery scenario, ranked by QoE. Produces BENCH_tournament.json (byte
 // identical across runs of the same build) plus a text table, then runs the
 // DP-vs-BnB solver cross-check and, when --baseline is given, gates each
-// cell's rebuffer ratio against the committed baseline.
+// cell's decisions and rebuffer ratio against the committed baseline.
 //
 // Usage:
 //   tournament [--smoke] [--out FILE] [--baseline FILE] [--traces N]
@@ -112,9 +112,11 @@ abr::core::DpHorizonSolver::CrossCheckStats run_cross_check(
   return solver.cross_check_stats();
 }
 
-/// Gates each current cell's rebuffer ratio against the committed baseline:
-/// a cell fails when its ratio exceeds baseline + max(0.02, 50% relative).
-/// Cells absent from the baseline (new algorithms) are reported, not gated.
+/// Gates each current cell against the committed baseline: a cell fails
+/// when its decision_hash (over every chunk's index, level and skipped
+/// flag) differs from the baseline's, i.e. any decision moved, or when its
+/// rebuffer ratio exceeds baseline + max(0.02, 50% relative). Cells absent
+/// from the baseline (new algorithms) are reported, not gated.
 int gate_against_baseline(const std::string& baseline_path,
                           const std::vector<abr::testing::CellResult>& cells) {
   std::ifstream in(baseline_path);
@@ -144,6 +146,18 @@ int gate_against_baseline(const std::string& baseline_path,
     if (match == baseline_cells.end()) {
       ++skipped;
       continue;
+    }
+    char hash[17];
+    std::snprintf(hash, sizeof hash, "%016llx",
+                  static_cast<unsigned long long>(cell.decision_hash));
+    const abr::util::Json& expected_hash = match->get("decision_hash");
+    if (expected_hash.kind != abr::util::Json::Kind::kString ||
+        expected_hash.text != hash) {
+      std::fprintf(stderr, "FAIL %s/%s/%s decision_hash %s differs from "
+                   "baseline %s\n", cell.algorithm.c_str(),
+                   cell.family.c_str(), cell.scenario.c_str(), hash,
+                   expected_hash.text.c_str());
+      ++failures;
     }
     const abr::util::Json& ratio = match->get("rebuffer_ratio");
     if (ratio.kind != abr::util::Json::Kind::kNumber) {

@@ -36,6 +36,13 @@ bool HorizonSolver::Workspace::Frontier::insert(double buffer, double value) {
   return true;
 }
 
+namespace {
+
+/// Relative float slack of the admissible bound (see the constructor).
+constexpr double kBoundSlack = 1e-9;
+
+}  // namespace
+
 HorizonSolver::HorizonSolver(const media::VideoManifest& manifest,
                              const qoe::QoeModel& qoe)
     : manifest_(&manifest),
@@ -49,13 +56,44 @@ HorizonSolver::HorizonSolver(const media::VideoManifest& manifest,
   for (std::size_t level = 0; level < levels; ++level) {
     level_quality_[level] = qoe.quality(manifest.bitrate_kbps(level));
   }
-  // q is non-decreasing in the ladder; the top level is the max.
-  max_quality_ = level_quality_.back();
   switch_cost_.resize(levels * levels);
+  double step_scale = 0.0;  // largest |q| plus largest switching cost
+  double max_switch = 0.0;
   for (std::size_t level = 0; level < levels; ++level) {
+    step_scale = std::max(step_scale, std::abs(level_quality_[level]));
     for (std::size_t prev = 0; prev < levels; ++prev) {
-      switch_cost_[level * levels + prev] =
+      const double cost =
           lambda * std::abs(level_quality_[level] - level_quality_[prev]);
+      switch_cost_[level * levels + prev] = cost;
+      max_switch = std::max(max_switch, cost);
+    }
+  }
+  step_scale += max_switch;
+
+  // Admissible bound on the `rest` chunks after choosing `level`. If m is
+  // the best quality the remaining path plays, it earns at most rest * m
+  // and switches at least lambda * (m - q_level)+ to climb there, and
+  // rebuffering only subtracts; the bound is the maximum over rungs m.
+  // Over the reals it is admissible. In floating point, summing `rest` more
+  // steps onto a running value can land above the real sum by about
+  // rest * 2^-53 times the magnitudes involved: the running value's (added
+  // per node in solve()) and up to rest * step_scale from the steps. A
+  // slack of 1e-9 of those magnitudes covers that for any horizon below
+  // ~10^6 chunks.
+  // Row 0 (no chunks left) stays 0 and is never read: the last depth takes
+  // the exact leaf test instead.
+  const std::size_t chunks = manifest.chunk_count();
+  rest_bound_.assign(chunks * levels, 0.0);
+  for (std::size_t rest = 1; rest < chunks; ++rest) {
+    const double r = static_cast<double>(rest);
+    const double slack = kBoundSlack * (r * step_scale + 1.0);
+    for (std::size_t level = 0; level < levels; ++level) {
+      double bound = -std::numeric_limits<double>::infinity();
+      for (const double m : level_quality_) {
+        bound = std::max(
+            bound, r * m - lambda * std::max(0.0, m - level_quality_[level]));
+      }
+      rest_bound_[rest * levels + level] = bound + slack;
     }
   }
 }
@@ -86,6 +124,7 @@ HorizonSolution HorizonSolver::solve(const HorizonProblem& problem,
       throw std::invalid_argument("HorizonProblem: non-positive forecast");
     }
   }
+  const std::size_t last = horizon - 1;
 
   // --- Workspace preparation (no allocation once at high-water capacity) --
   ws.download_s_.resize(horizon * levels);
@@ -97,19 +136,26 @@ HorizonSolution HorizonSolver::solve(const HorizonProblem& problem,
           manifest.chunk_kilobits(chunk, level) / forecast;
     }
   }
-  ws.optimistic_rest_.resize(horizon);
-  for (std::size_t depth = 0; depth < horizon; ++depth) {
-    ws.optimistic_rest_[depth] =
-        static_cast<double>(horizon - depth - 1) * max_quality_;
+  // Dominance sets for every depth but the last (see the leaf loop).
+  if (ws.frontier_.size() < last * levels) {
+    ws.frontier_.resize(last * levels);
   }
-  if (ws.frontier_.size() < horizon * levels) {
-    ws.frontier_.resize(horizon * levels);
-  }
-  for (std::size_t i = 0; i < horizon * levels; ++i) {
+  for (std::size_t i = 0; i < last * levels; ++i) {
     ws.frontier_[i].entries.clear();
   }
+  ws.frames_.resize(horizon);
   ws.current_levels_.resize(horizon);
   ws.best_levels_.clear();
+
+  // One chunk's Eq. (5) term. The hint, the inner nodes and the leaves all
+  // evaluate this one expression, so equal paths sum to equal doubles.
+  const auto step_value = [&](std::size_t level, double rebuffer,
+                              std::size_t prev_level, bool has_prev) {
+    double value = level_quality_[level] - w.mu * rebuffer -
+                   (rebuffer > 0.0 ? w.mu_event : 0.0);
+    if (has_prev) value -= switch_cost_[level * levels + prev_level];
+    return value;
+  };
 
   std::size_t nodes_expanded = 0;
   double best_value = -std::numeric_limits<double>::infinity();
@@ -141,12 +187,7 @@ HorizonSolution HorizonSolver::solve(const HorizonProblem& problem,
       const double rebuffer = std::max(0.0, download_s - buffer);
       buffer = std::min(std::max(buffer - download_s, 0.0) + chunk_duration,
                         problem.buffer_capacity_s);
-      double step_value = level_quality_[level] - w.mu * rebuffer -
-                          (rebuffer > 0.0 ? w.mu_event : 0.0);
-      if (has_prev) {
-        step_value -= switch_cost_[level * levels + prev_level];
-      }
-      value = value + step_value;
+      value = value + step_value(level, rebuffer, prev_level, has_prev);
       prev_level = level;
       has_prev = true;
     }
@@ -154,64 +195,88 @@ HorizonSolution HorizonSolver::solve(const HorizonProblem& problem,
     ws.best_levels_.assign(ws.hint_levels_.begin(), ws.hint_levels_.end());
   }
 
-  // Depth-first search; levels tried from highest quality down so the first
-  // incumbent is strong and the admissible bound prunes aggressively.
-  auto search = [&](auto&& self, std::size_t depth, double buffer,
-                    std::size_t prev_level, bool has_prev,
-                    double value) -> void {
-    if (depth == horizon) {
-      if (value > best_value || (!search_found && value == best_value)) {
-        best_value = value;
-        ws.best_levels_.assign(ws.current_levels_.begin(),
-                               ws.current_levels_.begin() +
-                                   static_cast<std::ptrdiff_t>(horizon));
-        search_found = true;
-      }
-      return;
-    }
+  // --- Depth-first search over an explicit stack --------------------------
+  // frames_[depth] is the node being expanded at `depth`; the level chosen
+  // above it is current_levels_[depth - 1]. Children are tried from the
+  // highest level down so the first incumbent is strong and the bound
+  // prunes aggressively; nodes_expanded counts every child evaluated.
+  ws.frames_[0] = Workspace::Frame{problem.buffer_s, 0.0, 0};
+  std::size_t depth = 0;
+  for (;;) {
+    Workspace::Frame& frame = ws.frames_[depth];
+    const std::size_t prev_level =
+        depth == 0 ? problem.prev_level : ws.current_levels_[depth - 1];
+    const bool has_prev = depth > 0 || problem.has_prev;
     const double* downloads = &ws.download_s_[depth * levels];
-    const double optimistic_rest = ws.optimistic_rest_[depth];
 
-    for (std::size_t i = 0; i < levels; ++i) {
-      const std::size_t level = levels - 1 - i;
-      ++nodes_expanded;
-
-      const double download_s = downloads[level];
-      const double rebuffer = std::max(0.0, download_s - buffer);
-      const double next_buffer = std::min(
-          std::max(buffer - download_s, 0.0) + chunk_duration,
-          problem.buffer_capacity_s);
-
-      double step_value = level_quality_[level] - w.mu * rebuffer -
-                          (rebuffer > 0.0 ? w.mu_event : 0.0);
-      if (has_prev) {
-        step_value -= switch_cost_[level * levels + prev_level];
+    if (depth == last) {
+      // Leaves. With no chunks left the bound test is the acceptance test
+      // itself: a leaf survives it exactly when it beats the incumbent (or
+      // ties the provisional hint), and then becomes the incumbent. So a
+      // dominance set here could never reject a surviving leaf.
+      for (std::size_t i = 0; i < levels; ++i) {
+        const std::size_t level = levels - 1 - i;
+        const double rebuffer =
+            std::max(0.0, downloads[level] - frame.buffer_s);
+        const double value =
+            frame.value + step_value(level, rebuffer, prev_level, has_prev);
+        if (value > best_value || (!search_found && value == best_value)) {
+          best_value = value;
+          ws.current_levels_[last] = level;
+          ws.best_levels_.assign(ws.current_levels_.begin(),
+                                 ws.current_levels_.begin() +
+                                     static_cast<std::ptrdiff_t>(horizon));
+          search_found = true;
+        }
       }
-      const double next_value = value + step_value;
+      nodes_expanded += levels;
+    } else {
+      const double* bounds = &rest_bound_[(last - depth) * levels];
+      Workspace::Frontier* frontiers = &ws.frontier_[depth * levels];
+      bool descended = false;
+      while (frame.next_child < levels) {
+        const std::size_t level = levels - 1 - frame.next_child++;
+        ++nodes_expanded;
 
-      // Admissible bound: even with maximal quality and no penalties for
-      // the remaining chunks this branch cannot beat the incumbent. While
-      // the incumbent is the provisional hint, branches that could *tie* it
-      // survive so tie-breaking matches the cold solve exactly.
-      const double optimistic = next_value + optimistic_rest;
-      if (search_found ? optimistic <= best_value : optimistic < best_value) {
+        const double download_s = downloads[level];
+        const double rebuffer = std::max(0.0, download_s - frame.buffer_s);
+        const double next_buffer = std::min(
+            std::max(frame.buffer_s - download_s, 0.0) + chunk_duration,
+            problem.buffer_capacity_s);
+
+        const double next_value =
+            frame.value + step_value(level, rebuffer, prev_level, has_prev);
+
+        // Admissible bound (its slack grows with the running value, whose
+        // rounding the remaining additions inherit). While the incumbent is
+        // the provisional hint, branches that could *tie* it survive so
+        // tie-breaking matches the cold solve exactly.
+        const double optimistic =
+            next_value + kBoundSlack * std::abs(next_value) + bounds[level];
+        if (search_found ? optimistic <= best_value
+                         : optimistic < best_value) {
+          continue;
+        }
+
+        // Dominance: a previously expanded branch reached this (depth,
+        // level) with at least as much buffer and value.
+        if (!frontiers[level].insert(next_buffer, next_value)) {
+          continue;
+        }
+
+        ws.current_levels_[depth] = level;
+        ws.frames_[depth + 1] = Workspace::Frame{next_buffer, next_value, 0};
+        descended = true;
+        break;
+      }
+      if (descended) {
+        ++depth;
         continue;
       }
-
-      // Dominance: a previously expanded branch reached this (depth, level)
-      // with at least as much buffer and value.
-      if (!ws.frontier_[depth * levels + level].insert(next_buffer,
-                                                       next_value)) {
-        continue;
-      }
-
-      ws.current_levels_[depth] = level;
-      self(self, depth + 1, next_buffer, level, true, next_value);
     }
-  };
-
-  search(search, 0, problem.buffer_s, problem.prev_level, problem.has_prev,
-         0.0);
+    if (depth == 0) break;
+    --depth;
+  }
 
   assert(!ws.best_levels_.empty());
 

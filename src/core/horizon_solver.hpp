@@ -59,37 +59,48 @@ struct HorizonSolution {
 
 /// Exact solver for HorizonProblem.
 ///
-/// Depth-first branch-and-bound over the |R|^N sequence space with two exact
-/// prunings that leave the result optimal:
-///  - admissible bound: current value + (remaining chunks) * max quality
-///    cannot beat the incumbent;
+/// Depth-first branch-and-bound over the |R|^N sequence space, levels tried
+/// from highest quality down, with two exact prunings that leave the result
+/// optimal:
+///  - switch-aware admissible bound: once a level with quality q is chosen,
+///    `rest` more chunks whose best rung has quality m are worth at most
+///    rest * m - lambda * (m - q)+ (reaching m from q costs at least that
+///    much switching; rebuffering only subtracts). The bound for a
+///    (rest, level) pair is the maximum over rungs m, precomputed per solver.
+///    A branch whose value plus bound cannot beat the incumbent is cut;
 ///  - dominance: at a given (depth, level) a partial solution with both a
 ///    lower buffer and a lower accumulated objective than a previously seen
 ///    one can be discarded.
-/// For the paper's configuration (5 levels, N = 5) the raw space is 3125
-/// sequences; with pruning the solver comfortably handles the Fig. 12b
-/// sweeps (N up to 9) and ladders of 10+ levels.
+/// The bound carries a relative float slack (1e-9 of the running value's
+/// and the remaining steps' magnitudes), so it also holds for path values
+/// summed step by step in floating point. At the last depth no bound
+/// is needed: a leaf is kept exactly when it beats the incumbent, so the
+/// last depth keeps no dominance set either (it could never reject a leaf
+/// that is kept). For the paper's configuration (5 levels, N = 5) the raw
+/// space is 3125 sequences; with pruning the solver comfortably handles the
+/// Fig. 12b sweeps (N up to 9) and ladders of 10+ levels.
 ///
 /// Warm starting (HorizonProblem::warm_hint) seeds the incumbent with a
 /// known level sequence. The incumbent is held *provisional* until the
 /// search itself reaches a sequence at least as good: while provisional,
 /// the bound prunes only strictly worse branches and a search solution that
 /// ties the hint replaces it. This makes the returned solution — including
-/// tie-breaking among equal optima — bit-identical to a cold solve, while
-/// the hint's value still prunes from the very first node. The invariant is
-/// pinned by tests (random hints vs. exhaustive reference) and by the
-/// warm-vs-cold FastMPC table equality check.
+/// tie-breaking among equal optima (the first optimum in high-to-low
+/// depth-first order) — bit-identical to a cold solve, while the hint's
+/// value still prunes from the very first node. The invariant is pinned by
+/// tests (random hints vs. exhaustive reference) and by the warm-vs-cold
+/// FastMPC table equality check.
 ///
-/// solve() is const and thread-safe: all per-solve scratch lives in a
-/// Workspace. Reusing one Workspace per thread across solves makes the hot
-/// path allocation-free in steady state (buffers keep their high-water
-/// capacity).
+/// solve() is const and thread-safe: all per-solve scratch, including the
+/// explicit per-depth search stack, lives in a Workspace. Reusing one
+/// Workspace per thread across solves makes the hot path allocation-free in
+/// steady state (buffers keep their high-water capacity).
 class HorizonSolver {
  public:
   /// Reusable per-solve scratch: flat per-(depth, level) arrays of
-  /// precomputed download times, the dominance frontier, and the level
-  /// stacks. A Workspace may be reused freely across solvers and problems;
-  /// it must not be shared between concurrent solves.
+  /// precomputed download times, the dominance frontier, the search stack
+  /// and the level sequences. A Workspace may be reused freely across
+  /// solvers and problems; it must not be shared between concurrent solves.
   class Workspace {
    public:
     Workspace() = default;
@@ -116,9 +127,17 @@ class HorizonSolver {
       bool insert(double buffer, double value);
     };
 
-    std::vector<Frontier> frontier_;       ///< [depth * levels + level]
-    std::vector<double> download_s_;       ///< [depth * levels + level]
-    std::vector<double> optimistic_rest_;  ///< [depth]
+    /// One depth of the explicit search stack: the buffer and objective
+    /// on entering the depth, and the next child (0 = highest level) to try.
+    struct Frame {
+      double buffer_s = 0.0;
+      double value = 0.0;
+      std::size_t next_child = 0;
+    };
+
+    std::vector<Frontier> frontier_;  ///< [depth * levels + level]
+    std::vector<double> download_s_;  ///< [depth * levels + level]
+    std::vector<Frame> frames_;       ///< [depth]
     std::vector<std::size_t> best_levels_;
     std::vector<std::size_t> current_levels_;
     std::vector<std::size_t> hint_levels_;
@@ -138,12 +157,15 @@ class HorizonSolver {
   const media::VideoManifest* manifest_;
   const qoe::QoeModel* qoe_;
 
-  /// Per-level q(R) and the lambda-weighted |q_i - q_j| switching costs,
-  /// both pure functions of (manifest, qoe) — computed once here instead of
-  /// per solve.
+  /// Per-level q(R), the lambda-weighted |q_i - q_j| switching costs, and
+  /// the admissible bound on the chunks after a choice, all pure functions
+  /// of (manifest, qoe) — computed once here instead of per solve.
   std::vector<double> level_quality_;
   std::vector<double> switch_cost_;  ///< [level * levels + prev_level]
-  double max_quality_ = 0.0;
+  /// [rest * levels + level]: max over rungs m of rest * q_m -
+  /// lambda * (q_m - q_level)+, plus its float slack, for every rest below
+  /// the manifest's chunk count (a horizon never exceeds it).
+  std::vector<double> rest_bound_;
 
   /// Search-effort distribution histogram, resolved at construction so the
   /// hot loop never runs a magic-static guard.

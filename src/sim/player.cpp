@@ -5,6 +5,9 @@
 #include <chrono>
 #include <cmath>
 #include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "obs/journal.hpp"
 #include "obs/metrics.hpp"
@@ -12,6 +15,23 @@
 #include "obs/trace_event.hpp"
 
 namespace abr::sim {
+namespace {
+
+/// The decide-latency histogram labelled with `controller`. Each thread
+/// remembers the few controller names it has seen, so the label string and
+/// the registry lookup are paid once per name, not once per session.
+obs::Histogram& decide_histogram(const std::string& controller) {
+  thread_local std::vector<std::pair<std::string, obs::Histogram*>> seen;
+  for (const auto& [name, histogram] : seen) {
+    if (name == controller) return *histogram;
+  }
+  obs::Histogram& histogram = obs::MetricsRegistry::global().histogram(
+      obs::kDecideLatencyUs, "controller=\"" + controller + "\"");
+  seen.emplace_back(controller, &histogram);
+  return histogram;
+}
+
+}  // namespace
 
 PlayerSession::PlayerSession(const media::VideoManifest& manifest,
                              const qoe::QoeModel& qoe, SessionConfig config)
@@ -52,23 +72,35 @@ SessionResult PlayerSession::run(ChunkSource& source,
           : nullptr;
   const int track = config_.trace_track;
   const std::string buffer_counter_name =
-      track == 0 ? "buffer_s" : "buffer_s p" + std::to_string(track);
-  obs::Counter& chunks_total = registry.counter(obs::kChunksDownloadedTotal);
-  obs::Counter& rebuffer_total = registry.counter(obs::kRebufferSecondsTotal);
-  obs::Counter& wait_total = registry.counter(obs::kWaitSecondsTotal);
-  obs::Counter& degraded_total = registry.counter(obs::kChunksDegradedTotal);
-  obs::Counter& skipped_total = registry.counter(obs::kChunksSkippedTotal);
-  obs::Counter& aborted_total = registry.counter(obs::kChunksAbortedTotal);
-  obs::Counter& partial_total = registry.counter(obs::kChunksPartialTotal);
-  obs::Counter& wasted_total = registry.counter(obs::kWastedKilobitsTotal);
-  obs::Counter& resumes_total = registry.counter(obs::kRangeResumesTotal);
-  obs::Counter& sessions_total = registry.counter(obs::kSessionsTotal);
-  obs::Gauge& buffer_gauge = registry.gauge(obs::kBufferLevelSeconds);
-  obs::Histogram& download_hist =
+      tracer == nullptr ? std::string()
+      : track == 0      ? std::string("buffer_s")
+                        : "buffer_s p" + std::to_string(track);
+  // Registry references are stable for the process, so each instrument is
+  // looked up once, not by a mutex-guarded lookup in every session.
+  static obs::Counter& chunks_total =
+      registry.counter(obs::kChunksDownloadedTotal);
+  static obs::Counter& rebuffer_total =
+      registry.counter(obs::kRebufferSecondsTotal);
+  static obs::Counter& wait_total = registry.counter(obs::kWaitSecondsTotal);
+  static obs::Counter& degraded_total =
+      registry.counter(obs::kChunksDegradedTotal);
+  static obs::Counter& skipped_total =
+      registry.counter(obs::kChunksSkippedTotal);
+  static obs::Counter& aborted_total =
+      registry.counter(obs::kChunksAbortedTotal);
+  static obs::Counter& partial_total =
+      registry.counter(obs::kChunksPartialTotal);
+  static obs::Counter& wasted_total =
+      registry.counter(obs::kWastedKilobitsTotal);
+  static obs::Counter& resumes_total =
+      registry.counter(obs::kRangeResumesTotal);
+  static obs::Counter& sessions_total = registry.counter(obs::kSessionsTotal);
+  static obs::Gauge& buffer_gauge = registry.gauge(obs::kBufferLevelSeconds);
+  static obs::Histogram& download_hist =
       registry.histogram(obs::kChunkDownloadSeconds, "",
                          obs::exponential_buckets(0.01, 2.0, 16));
-  obs::Histogram& decide_hist = registry.histogram(
-      obs::kDecideLatencyUs, "controller=\"" + controller.name() + "\"");
+  const std::string algorithm_name = controller.name();
+  obs::Histogram& decide_hist = decide_histogram(algorithm_name);
   // Skip the clock reads entirely when nobody is listening.
   const bool time_decisions = registry.enabled() || tracer != nullptr;
   bool playback_start_emitted = false;
@@ -79,7 +111,6 @@ SessionResult PlayerSession::run(ChunkSource& source,
   // so per-chunk charges sum exactly to the session totals.
   obs::Journal* journal = config_.journal;
   const qoe::QoeWeights& weights = qoe_->weights();
-  const std::string algorithm_name = controller.name();
   double journal_prev_quality = 0.0;
   bool journal_has_prev = false;
   double journal_qoe_cum = 0.0;
@@ -155,7 +186,7 @@ SessionResult PlayerSession::run(ChunkSource& source,
         lvl = controller.decide(st, manifest);
       }
       if (lvl >= manifest.level_count()) {
-        throw std::logic_error("controller '" + controller.name() +
+        throw std::logic_error("controller '" + algorithm_name +
                                "' returned an out-of-range ladder index");
       }
       return lvl;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <limits>
 #include <stdexcept>
 #include <vector>
@@ -135,6 +136,127 @@ TEST(SolverWarmStart, AnyHintIsBitIdenticalToExhaustiveReference) {
     }
     hints.push_back(noise);
     hints.emplace_back(1, noise.front());
+
+    for (std::size_t h = 0; h < hints.size(); ++h) {
+      HorizonProblem warm = base;
+      warm.warm_hint = hints[h];
+      const HorizonSolution solution = solver.solve(warm, workspace);
+      ASSERT_EQ(solution.levels, reference.levels)
+          << "trial " << trial << " hint " << h;
+      ASSERT_EQ(solution.objective, reference.objective)
+          << "trial " << trial << " hint " << h;
+    }
+  }
+}
+
+/// The same exactness property over the shapes that stress the
+/// switch-aware bound: every quality family (`saturating` with a flat top
+/// and `piecewise` with a flat middle give rungs of equal quality, i.e.
+/// exact ties; `log` goes negative below its reference), lambda = 0, the
+/// avoid-instability weights and a per-event rebuffer charge, horizons 1-7
+/// on 2-4 rung ladders (tail horizons included), buffers exactly empty and
+/// exactly full, forecasts below the lowest rung and above the top rung,
+/// CBR and VBR. An inadmissible bound prunes an optimum and shows up here
+/// as a level or objective mismatch.
+TEST(SolverWarmStart, SwitchAwareBoundIsExactAcrossFamiliesAndEdges) {
+  util::Rng rng(94);
+  HorizonSolver::Workspace workspace;
+  const qoe::QoeWeights weight_sets[] = {
+      qoe::QoeWeights::balanced(),
+      {0.0, 3000.0, 3000.0},
+      qoe::QoeWeights::avoid_instability(),
+      {1.0, 3000.0, 3000.0, 500.0},
+  };
+
+  for (int trial = 0; trial < 2400; ++trial) {
+    const std::size_t levels = static_cast<std::size_t>(rng.uniform_int(2, 4));
+    const auto ladder = media::VideoManifest::geometric_ladder(
+        rng.uniform(200.0, 500.0), rng.uniform(1500.0, 4000.0), levels);
+    const double lo = ladder.front();
+    const double hi = ladder.back();
+    const double chunk_s = rng.uniform() < 0.5 ? 2.0 : 4.0;
+    util::Rng vbr_rng = rng.split();
+    const auto manifest =
+        rng.uniform() < 0.5
+            ? media::VideoManifest::cbr(12, chunk_s, ladder)
+            : media::VideoManifest::vbr(12, chunk_s, ladder, 0.3, vbr_rng);
+
+    media::QualityFunction quality = media::QualityFunction::identity();
+    switch (trial % 4) {
+      case 1:
+        quality = media::QualityFunction::logarithmic(
+            rng.uniform(0.5, 1.5) * lo, 1000.0);
+        break;
+      case 2:
+        quality =
+            media::QualityFunction::device_saturating(rng.uniform(lo, hi), 0.0);
+        break;
+      case 3:
+        quality = media::QualityFunction::piecewise(
+            {{0.5 * lo, 1.0}, {lo, 4.0}, {0.5 * (lo + hi), 4.0}, {hi, 9.0}});
+        break;
+      default:
+        break;
+    }
+    const qoe::QoeModel qoe(quality, weight_sets[(trial / 4) % 4]);
+    HorizonSolver solver(manifest, qoe);
+
+    const std::size_t horizon =
+        static_cast<std::size_t>(rng.uniform_int(1, 7));
+    std::vector<double> forecast(horizon);
+    const int forecast_kind = static_cast<int>(rng.uniform_int(0, 2));
+    for (double& c : forecast) {
+      if (forecast_kind == 0) {
+        c = rng.uniform(0.1, 0.95) * lo;  // below the lowest rung
+      } else if (forecast_kind == 1) {
+        c = rng.uniform(1.05, 3.0) * hi;  // above the top rung
+      } else {
+        c = rng.uniform(0.3 * lo, 2.0 * hi);
+      }
+    }
+
+    HorizonProblem base;
+    base.buffer_capacity_s =
+        rng.uniform() < 0.5 ? 30.0 : rng.uniform(8.0, 30.0);
+    switch (static_cast<int>(rng.uniform_int(0, 2))) {
+      case 0:
+        base.buffer_s = 0.0;
+        break;
+      case 1:
+        base.buffer_s = base.buffer_capacity_s;
+        break;
+      default:
+        base.buffer_s = rng.uniform(0.0, base.buffer_capacity_s);
+        break;
+    }
+    base.prev_level = static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(levels) - 1));
+    base.has_prev = rng.uniform() < 0.9;
+    base.predicted_kbps = forecast;
+    base.first_chunk = static_cast<std::size_t>(rng.uniform_int(0, 8));
+
+    const Reference reference = exhaustive_reference(manifest, qoe, base);
+    const HorizonSolution cold = solver.solve(base, workspace);
+    ASSERT_EQ(cold.levels, reference.levels) << "trial " << trial;
+    ASSERT_EQ(cold.objective, reference.objective) << "trial " << trial;
+
+    // Every hint variant: the cold optimum, its shifted tail, noise, a
+    // truncated prefix, and the all-top and all-bottom sequences.
+    const std::size_t solved = cold.levels.size();
+    std::vector<std::vector<std::size_t>> hints;
+    hints.push_back(cold.levels);
+    if (solved > 1) {
+      hints.emplace_back(cold.levels.begin() + 1, cold.levels.end());
+    }
+    std::vector<std::size_t> noise(solved);
+    for (std::size_t& level : noise) {
+      level = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(levels) - 1));
+    }
+    hints.push_back(noise);
+    hints.emplace_back(1, noise.front());
+    hints.emplace_back(solved, levels - 1);
+    hints.emplace_back(solved, 0);
 
     for (std::size_t h = 0; h < hints.size(); ++h) {
       HorizonProblem warm = base;
