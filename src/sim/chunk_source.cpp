@@ -25,7 +25,7 @@ TraceChunkSource::TraceChunkSource(const trace::ThroughputTrace& trace,
 
 FetchOutcome TraceChunkSource::fetch(std::size_t chunk, std::size_t level) {
   const double kilobits = manifest_->chunk_kilobits(chunk, level);
-  const double end_s = trace_->transfer_end_time(kilobits, now_s_);
+  const double end_s = trace_->transfer_end_time(kilobits, now_s_, cursor_);
   FetchOutcome outcome;
   outcome.duration_s = end_s - now_s_;
   outcome.kilobits = kilobits;
@@ -51,7 +51,7 @@ FetchOutcome TraceChunkSource::fetch_controlled(std::size_t chunk,
   }
 
   const double start_s = now_s_;
-  const double end_s = trace_->transfer_end_time(goal_kb, start_s);
+  const double end_s = trace_->transfer_end_time(goal_kb, start_s, cursor_);
   if (resume_kb > 0.0) outcome.resumes = 1;
   if (control.abort_enabled && control.check_interval_s > 0.0) {
     // Deterministic deadline monitor: walk fixed checkpoints through the

@@ -124,7 +124,10 @@ class ChunkSource {
 };
 
 /// Virtual-time source: transfer times follow Eq. (2) of the paper exactly —
-/// the integral of the trace's C_t over the download interval.
+/// the integral of the trace's C_t over the download interval. Session time
+/// only moves forward, so the source finds each transfer's end through a
+/// trace cursor, amortized O(1) in the trace's length; the abort monitor's
+/// checkpoints use the stateless integral.
 class TraceChunkSource final : public ChunkSource {
  public:
   /// Both referents must outlive the source.
@@ -143,6 +146,7 @@ class TraceChunkSource final : public ChunkSource {
   const trace::ThroughputTrace* trace_;
   const media::VideoManifest* manifest_;
   double now_s_ = 0.0;
+  std::size_t cursor_ = 0;  ///< trace segment of the latest transfer end
 };
 
 }  // namespace abr::sim

@@ -47,63 +47,129 @@ double ThroughputTrace::rate_at(double t) const {
   assert(t >= 0.0);
   double phase = std::fmod(t, period_s_);
   if (phase < 0.0) phase += period_s_;
-  // Last segment whose start is <= phase.
-  const auto it = std::upper_bound(cum_time_.begin(), cum_time_.end(), phase);
-  const auto index = static_cast<std::size_t>(it - cum_time_.begin()) - 1;
-  return segments_[index].rate_kbps;
+  std::size_t hint = 0;
+  return segments_[segment_at(phase, hint)].rate_kbps;
 }
 
-double ThroughputTrace::kilobits_before(double u) const {
+namespace {
+
+/// The one segment search behind every lookup: the first index of `keys`
+/// (sorted ascending, so `below` holds on a prefix) at which `below` is
+/// false, found from a hint. The answer is that unique partition point
+/// whatever the hint, so a cursor walk and a fresh search agree exactly.
+template <typename Below>
+std::size_t partition_from(const std::vector<double>& keys, std::size_t hint,
+                           Below below) {
+  const double* const key = keys.data();
+  const std::size_t n = keys.size();
+  hint = std::min(hint, n - 1);
+  if (!below(key[hint])) {
+    // Behind the hint: a period wrap or a non-monotone caller.
+    return static_cast<std::size_t>(
+        std::partition_point(key, key + hint, below) - key);
+  }
+  // At or ahead of the hint: try the next key, then double the stride.
+  std::size_t lo = hint + 1;  // below() holds for every key before lo
+  std::size_t stride = 1;
+  while (lo < n && below(key[lo])) {
+    const std::size_t probe = lo + stride;
+    if (probe >= n || !below(key[probe])) {
+      return static_cast<std::size_t>(
+          std::partition_point(key + lo + 1, key + std::min(probe, n), below) -
+          key);
+    }
+    lo = probe + 1;
+    stride *= 2;
+  }
+  return lo;
+}
+
+}  // namespace
+
+std::size_t ThroughputTrace::segment_at(double u, std::size_t& hint) const {
+  // std::upper_bound's partition: the first start after u, less one (a
+  // phase rounded below zero stays in the first segment).
+  const std::size_t after = partition_from(
+      cum_time_, hint, [u](double start) { return !(u < start); });
+  hint = std::max<std::size_t>(after, 1) - 1;
+  return hint;
+}
+
+double ThroughputTrace::kilobits_before(double u, std::size_t& hint) const {
   assert(u >= 0.0 && u <= period_s_ + 1e-9);
   u = std::min(u, period_s_);
-  const auto it = std::upper_bound(cum_time_.begin(), cum_time_.end(), u);
-  const auto index = static_cast<std::size_t>(it - cum_time_.begin()) - 1;
+  const std::size_t index = segment_at(u, hint);
   return cum_kb_[index] + (u - cum_time_[index]) * segments_[index].rate_kbps;
 }
 
-double ThroughputTrace::time_for_kilobits(double kb) const {
-  assert(kb >= 0.0 && kb <= total_kb_ + 1e-9);
+double ThroughputTrace::time_for_kilobits(double from_kb, double kb,
+                                          std::size_t& hint) const {
+  assert(kb >= 0.0 && kb <= total_kb_ + 1e-9 && from_kb <= kb);
   kb = std::min(kb, total_kb_);
-  // Last segment whose cumulative start is <= kb. Zero-rate segments have
-  // equal consecutive cum_kb_ entries; upper_bound lands after them, which
-  // correctly skips across dead air.
-  const auto it = std::upper_bound(cum_kb_.begin(), cum_kb_.end(), kb);
-  const auto index = static_cast<std::size_t>(it - cum_kb_.begin()) - 1;
-  const TraceSegment& seg = segments_[index];
-  if (seg.rate_kbps <= 0.0) {
-    // kb falls exactly on the boundary of a zero-rate segment; the transfer
-    // completes at its start.
-    return cum_time_[index];
+  // The first segment whose cumulative start reaches kb and lies past
+  // from_kb. An exact hit completes at that segment's start, before any
+  // zero-rate run that begins there; otherwise kb is reached inside the
+  // segment before it, whose rate is positive. When kb rounds to from_kb
+  // there is no exact hit: the transfer still needs the link to carry
+  // something, so it ends after any outage it began in, not at its start.
+  const std::size_t reached =
+      partition_from(cum_kb_, hint, [from_kb, kb](double before) {
+        return before < kb || before <= from_kb;
+      });
+  if (reached < cum_kb_.size() && cum_kb_[reached] == kb) {
+    hint = reached;
+    return cum_time_[reached];
   }
-  return cum_time_[index] + (kb - cum_kb_[index]) / seg.rate_kbps;
+  const std::size_t index = std::max<std::size_t>(reached, 1) - 1;
+  hint = index;
+  return cum_time_[index] + (kb - cum_kb_[index]) / segments_[index].rate_kbps;
 }
 
 double ThroughputTrace::kilobits_between(double t0, double t1) const {
   assert(t1 >= t0 && t0 >= 0.0);
-  const double full_cycles = std::floor(t1 / period_s_) - std::floor(t0 / period_s_);
+  const double full_cycles =
+      std::floor(t1 / period_s_) - std::floor(t0 / period_s_);
   const double phase0 = t0 - std::floor(t0 / period_s_) * period_s_;
   const double phase1 = t1 - std::floor(t1 / period_s_) * period_s_;
-  return full_cycles * total_kb_ + kilobits_before(phase1) - kilobits_before(phase0);
+  std::size_t hint = 0;
+  const double before0 = kilobits_before(phase0, hint);
+  const double before1 = kilobits_before(phase1, hint);
+  return full_cycles * total_kb_ + before1 - before0;
 }
 
-double ThroughputTrace::transfer_end_time(double kilobits, double start_s) const {
+double ThroughputTrace::transfer_end_time(double kilobits,
+                                          double start_s) const {
+  std::size_t hint = 0;
+  return transfer_end_time(kilobits, start_s, hint);
+}
+
+double ThroughputTrace::transfer_end_time(double kilobits, double start_s,
+                                          std::size_t& hint) const {
   assert(kilobits >= 0.0 && start_s >= 0.0);
   if (kilobits == 0.0) return start_s;
   const double cycle_start = std::floor(start_s / period_s_) * period_s_;
   const double phase = start_s - cycle_start;
-  double remaining = kilobits;
-  double base = cycle_start;
-
-  const double tail_kb = total_kb_ - kilobits_before(phase);
-  if (remaining <= tail_kb) {
-    return base + time_for_kilobits(kilobits_before(phase) + remaining);
+  const double before = kilobits_before(phase, hint);
+  double end_s = 0.0;
+  if (kilobits <= total_kb_ - before) {
+    end_s = cycle_start + time_for_kilobits(before, before + kilobits, hint);
+  } else {
+    // The rest arrives over later periods. An exact multiple of a period's
+    // capacity completes in the last full period, before its trailing
+    // outage.
+    const double rest_kb = kilobits - (total_kb_ - before);
+    double cycles = std::floor(rest_kb / total_kb_);
+    double last_kb = rest_kb - cycles * total_kb_;
+    if (last_kb <= 0.0) {
+      cycles -= 1.0;
+      last_kb += total_kb_;
+    }
+    end_s = cycle_start + period_s_ + cycles * period_s_ +
+            time_for_kilobits(0.0, last_kb, hint);
   }
-  remaining -= tail_kb;
-  base += period_s_;
-  const double cycles = std::floor(remaining / total_kb_);
-  base += cycles * period_s_;
-  remaining -= cycles * total_kb_;
-  return base + time_for_kilobits(remaining);
+  // Never before the start: a transfer of a few ulps, or a start an ulp
+  // before a wrap, can round to an instant just short of it.
+  return std::max(start_s, end_s);
 }
 
 double ThroughputTrace::mean_kbps() const { return total_kb_ / period_s_; }

@@ -24,7 +24,9 @@ struct TraceSegment {
 ///
 /// The two workhorse operations are the integral of C_t (how many kilobits a
 /// link delivers in [t0, t1]) and its inverse (when a transfer of a given
-/// size finishes, Eq. (2) of the paper). Both are O(log n) via prefix sums.
+/// size finishes, Eq. (2) of the paper). Both search prefix sums in O(log n);
+/// the inverse also takes a cursor (a caller-held segment index) that makes
+/// it amortized O(1) when the caller's transfers move forward in time.
 class ThroughputTrace {
  public:
   ThroughputTrace() = default;
@@ -54,8 +56,21 @@ class ThroughputTrace {
   double kilobits_between(double t0, double t1) const;
 
   /// Absolute time at which a transfer of `kilobits` starting at `start_s`
-  /// completes. Requires kilobits >= 0.
+  /// completes: the earliest instant, and never before `start_s`, at which
+  /// the trace has delivered them. A transfer that fills up exactly where
+  /// an outage begins ends there, not after the outage. Requires
+  /// kilobits >= 0.
   double transfer_end_time(double kilobits, double start_s) const;
+
+  /// Cursor form of the query above. The hint is a caller-held segment
+  /// index (start it at 0; any value is safe) that each lookup starts from
+  /// and leaves at the segment it found. A lookup at or ahead of its hint
+  /// steps or gallops forward; one behind it (a period wrap, a non-monotone
+  /// caller) falls back to a binary search. A caller whose start times only
+  /// move forward pays amortized O(1) per transfer. The hint never changes
+  /// the answer: it equals the stateless call's bit for bit.
+  double transfer_end_time(double kilobits, double start_s,
+                           std::size_t& hint) const;
 
   /// Average rate over one period, kbps.
   double mean_kbps() const;
@@ -73,10 +88,13 @@ class ThroughputTrace {
   ThroughputTrace scaled(double factor) const;
 
  private:
+  /// The segment holding phase u: the last whose start is <= u.
+  std::size_t segment_at(double u, std::size_t& hint) const;
   /// Kilobits delivered in [0, u] within one period; u in [0, period].
-  double kilobits_before(double u) const;
-  /// Time u in [0, period] such that kilobits_before(u) == kb.
-  double time_for_kilobits(double kb) const;
+  double kilobits_before(double u, std::size_t& hint) const;
+  /// The earliest u in [0, period] with kilobits_before(u) == kb, for a
+  /// transfer that starts where kilobits_before is `from_kb` <= kb.
+  double time_for_kilobits(double from_kb, double kb, std::size_t& hint) const;
 
   std::vector<TraceSegment> segments_;
   std::vector<double> cum_time_;  ///< cum_time_[i] = start time of segment i
