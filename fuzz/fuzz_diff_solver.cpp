@@ -1,29 +1,36 @@
-// Differential fuzzer: exact branch-and-bound (HorizonSolver) vs. the
-// value-iteration DP backend (DpHorizonSolver) on the same decoded
+// Differential fuzzer: exact branch-and-bound (HorizonSolver) vs. exhaustive
+// enumeration (testing::exhaustive_reference) on the same decoded
 // HorizonProblem.
 //
-// Oracles, from the DP's exactness contract (dp_solver.hpp):
-//   1. bnb.objective - dp.objective in [0, tolerance_bound(problem)]
-//      (the DP never beats the exact optimum and never trails by more than
-//      its proven discretization bound);
-//   2. dp.objective == plan_objective(dp.levels): the DP reports the exact
-//      Eq. (5) value of the plan it returns, never the grid estimate;
-//   3. optimality certificate: bnb.objective >= the exact value of any
-//      random plan.
+// Oracle: the cold branch-and-bound solve, and the solve seeded with the
+// decoded warm hint when there is one, return the enumeration's levels and
+// objective, compared with `==`. The reference scores every one of the
+// levels^N plans with the solver's own arithmetic and tie-break, so no gap
+// is allowed and no plan can beat the answer.
 
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
-#include "core/dp_solver.hpp"
 #include "core/horizon_solver.hpp"
 #include "fuzz_input.hpp"
 #include "solver_instance.hpp"
+#include "testing/solver_oracle.hpp"
 
-using abr::core::DpHorizonSolver;
-using abr::core::DpSolverConfig;
+using abr::core::HorizonProblem;
 using abr::core::HorizonSolution;
 using abr::core::HorizonSolver;
+
+namespace {
+
+void require_equal(const HorizonSolution& reference,
+                   const HorizonSolution& solved) {
+  ABR_FUZZ_REQUIRE_MSG(solved.levels == reference.levels,
+                       "branch-and-bound levels != exhaustive optimum");
+  ABR_FUZZ_REQUIRE_MSG(solved.objective == reference.objective,
+                       "branch-and-bound objective != exhaustive optimum");
+}
+
+}  // namespace
 
 extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
                                       std::size_t size) {
@@ -31,38 +38,15 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   abr::fuzz::SolverInstance inst;
   abr::fuzz::decode_solver_instance(in, inst);
 
-  DpSolverConfig config;
-  config.buffer_bins = in.uniform_size(50, 400);
-
+  const HorizonSolution reference = abr::testing::exhaustive_reference(
+      inst.manifest, inst.model, inst.problem);
   const HorizonSolver bnb(inst.manifest, inst.model);
-  DpHorizonSolver dp(inst.manifest, inst.model, config);
 
-  const HorizonSolution exact = bnb.solve(inst.problem);
-  const HorizonSolution approx = dp.solve(inst.problem);
-  ABR_FUZZ_REQUIRE(exact.levels.size() == approx.levels.size());
-
-  // Oracle 1: gap within the proven bound (small epsilon for fp noise).
-  const double gap = exact.objective - approx.objective;
-  const double bound = dp.tolerance_bound(inst.problem);
-  ABR_FUZZ_REQUIRE_MSG(gap >= -1e-6, "dp beat the exact optimum");
-  ABR_FUZZ_REQUIRE_MSG(gap <= bound + 1e-6, "dp gap exceeds tolerance bound");
-
-  // Oracle 2: the DP's reported objective is the exact value of its plan.
-  const double replayed = dp.plan_objective(inst.problem, approx.levels);
-  ABR_FUZZ_REQUIRE_MSG(approx.objective == replayed,
-                       "dp objective != exact value of its own plan");
-
-  // Oracle 3: no random plan beats the branch-and-bound optimum.
-  if (!exact.levels.empty()) {
-    std::vector<std::size_t> random_plan(exact.levels.size());
-    for (std::size_t attempt = 0; attempt < 3; ++attempt) {
-      for (std::size_t& level : random_plan) {
-        level = in.uniform_size(0, inst.manifest.level_count() - 1);
-      }
-      const double value = dp.plan_objective(inst.problem, random_plan);
-      ABR_FUZZ_REQUIRE_MSG(exact.objective >= value - 1e-9,
-                           "random plan beat the exact solver");
-    }
+  HorizonProblem cold = inst.problem;
+  cold.warm_hint = {};
+  require_equal(reference, bnb.solve(cold));
+  if (!inst.problem.warm_hint.empty()) {
+    require_equal(reference, bnb.solve(inst.problem));
   }
   return 0;
 }

@@ -28,9 +28,10 @@ struct SolverInstance {
   abr::core::HorizonProblem problem;
 };
 
-/// Decodes bytes into `out`. Ranges are chosen so the branch-and-bound and
-/// DP solvers both stay fast (<~1ms per solve): ladders of 2-5 levels,
-/// horizons of 1-5 chunks, short videos of 1-8 chunks.
+/// Decodes bytes into `out`. Ranges are chosen so branch-and-bound and
+/// exhaustive enumeration (at most 5^5 = 3125 plans) both stay fast
+/// (<~1ms per solve): ladders of 2-5 levels, horizons of 1-5 chunks, short
+/// videos of 1-8 chunks.
 inline void decode_solver_instance(FuzzInput& in, SolverInstance& out) {
   const std::size_t levels = in.uniform_size(2, 5);
   std::vector<double> ladder;

@@ -11,8 +11,7 @@
 
 namespace abr::core {
 
-static_assert(static_cast<std::size_t>(Algorithm::kMpcDp) + 1 ==
-                  kAlgorithmCount,
+static_assert(static_cast<std::size_t>(Algorithm::kBola) + 1 == kAlgorithmCount,
               "Algorithm enum and kAlgorithmCount out of sync: update the "
               "constant (and algorithm_name / make_algorithm) when adding a "
               "policy");
@@ -28,7 +27,6 @@ const char* algorithm_name(Algorithm algorithm) {
     case Algorithm::kDashJs: return "dash.js";
     case Algorithm::kFestive: return "FESTIVE";
     case Algorithm::kBola: return "BOLA";
-    case Algorithm::kMpcDp: return "MPC-DP";
   }
   return "?";
 }
@@ -111,17 +109,6 @@ AlgorithmInstance make_algorithm(Algorithm algorithm,
       config.buffer_capacity_s = options.buffer_capacity_s;
       instance.controller =
           std::make_unique<BolaController>(manifest, qoe, config);
-      break;
-    }
-    case Algorithm::kMpcDp: {
-      MpcConfig config;
-      config.horizon = options.mpc_horizon;
-      config.robust = false;
-      config.buffer_capacity_s = options.buffer_capacity_s;
-      config.backend = SolverBackend::kValueIteration;
-      config.dp_buffer_bins = options.dp_buffer_bins;
-      instance.controller =
-          std::make_unique<MpcController>(manifest, qoe, config);
       break;
     }
   }

@@ -24,7 +24,6 @@ enum class Algorithm {
   kDashJs,       ///< original dash.js rule-based logic
   kFestive,      ///< FESTIVE with alpha = 12
   kBola,         ///< BOLA: buffer-level Lyapunov control (Spiteri et al.)
-  kMpcDp,        ///< basic MPC on the value-iteration solver backend
 };
 
 /// Number of Algorithm enumerators. make_algorithm, algorithm_name, and the
@@ -32,7 +31,7 @@ enum class Algorithm {
 /// algorithms.cpp trips when the enum grows without this constant (and
 /// therefore the registry) following, so a new policy cannot silently skip
 /// factory or test coverage.
-inline constexpr std::size_t kAlgorithmCount = 10;
+inline constexpr std::size_t kAlgorithmCount = 9;
 
 const char* algorithm_name(Algorithm algorithm);
 
@@ -63,8 +62,6 @@ struct AlgorithmOptions {
   /// Shared FastMPC table; built on demand (and cached by the caller) if
   /// null when kFastMpc is requested.
   std::shared_ptr<const FastMpcTable> fastmpc_table;
-  /// Buffer-grid resolution for kMpcDp's value-iteration solver.
-  std::size_t dp_buffer_bins = 600;
   /// Seed for stochastic predictors (none of the defaults need it, but
   /// custom predictors may).
   std::uint64_t seed = 1;

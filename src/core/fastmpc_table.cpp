@@ -5,11 +5,9 @@
 #include <chrono>
 #include <cstring>
 #include <fstream>
-#include <span>
 #include <sstream>
 #include <stdexcept>
 
-#include "core/dp_solver.hpp"
 #include "core/horizon_solver.hpp"
 #include "obs/names.hpp"
 #include "obs/span.hpp"
@@ -148,20 +146,6 @@ FastMpcTable FastMpcTable::build(const media::VideoManifest& manifest,
       [&](std::size_t c) {
         const std::vector<double> forecast(config.horizon,
                                            throughput_binner.center(c));
-        if (config.dp_backend) {
-          // One backward value-iteration pass serves the entire
-          // (previous level x buffer bin) plane of this throughput bin.
-          DpSolverConfig dp_config;
-          dp_config.buffer_bins = config.dp_buffer_bins;
-          DpHorizonSolver dp(generic, qoe, dp_config);
-          const std::size_t plane = levels * config.buffer_bins;
-          const std::size_t nodes = dp.solve_slice(
-              forecast, 0, config.buffer_capacity_s, buffer_binner,
-              config.buffer_bins,
-              std::span<std::uint8_t>(decisions.data() + c * plane, plane));
-          total_nodes.fetch_add(nodes, std::memory_order_relaxed);
-          return;
-        }
         HorizonSolver solver(generic, qoe);
         HorizonSolver::Workspace workspace;
         std::vector<std::size_t> neighbor_plan;

@@ -49,19 +49,6 @@ struct FastMpcConfig {
   /// Table 1 size accounting is unaffected.
   bool flat_lookup = false;
 
-  /// Build the table with the value-iteration DP backend instead of
-  /// per-cell branch-and-bound: one backward pass per throughput bin fills
-  /// its whole (previous level x buffer bin) plane at once
-  /// (DpHorizonSolver::solve_slice). Decisions agree with the exact build
-  /// within the DP discretization tolerance (agreement fraction pinned by
-  /// test); build effort drops from hundreds of search nodes per cell to a
-  /// handful of arithmetic evaluations.
-  bool dp_backend = false;
-
-  /// Buffer-grid resolution of the DP backend's value function (independent
-  /// of buffer_bins, which fixes the table's own root grid).
-  std::size_t dp_buffer_bins = 600;
-
   friend bool operator==(const FastMpcConfig&, const FastMpcConfig&) = default;
 };
 

@@ -13,9 +13,6 @@ namespace abr::core {
 namespace {
 
 const char* mpc_variant_name(const MpcConfig& config) {
-  if (config.backend == SolverBackend::kValueIteration) {
-    return config.robust ? "RobustMPC-DP" : "MPC-DP";
-  }
   return config.robust ? "RobustMPC" : "MPC";
 }
 
@@ -30,11 +27,6 @@ MpcController::MpcController(const media::VideoManifest& manifest,
           obs::solve_algorithm_label(mpc_variant_name(config)))),
       error_tracker_(config.error_window) {
   assert(config.horizon >= 1);
-  if (config_.backend == SolverBackend::kValueIteration) {
-    DpSolverConfig dp_config;
-    dp_config.buffer_bins = config_.dp_buffer_bins;
-    dp_solver_ = std::make_unique<DpHorizonSolver>(manifest, qoe, dp_config);
-  }
 }
 
 void MpcController::reset() {
@@ -98,8 +90,7 @@ std::size_t MpcController::decide(const sim::AbrState& state,
   HorizonSolution solution;
   {
     obs::LatencyTimer timer(solve_histogram_);
-    solution = dp_solver_ != nullptr ? dp_solver_->solve(problem)
-                                     : solver_.solve(problem, workspace_);
+    solution = solver_.solve(problem, workspace_);
   }
   (void)manifest;
 

@@ -1,10 +1,8 @@
 #pragma once
 
-#include <memory>
 #include <optional>
 #include <vector>
 
-#include "core/dp_solver.hpp"
 #include "core/horizon_solver.hpp"
 #include "obs/metrics.hpp"
 #include "predict/error_tracker.hpp"
@@ -29,15 +27,6 @@ struct MpcConfig {
   /// Must match the player's SessionConfig::buffer_capacity_s; the solver
   /// models the Eq. (4) buffer-full clamp.
   double buffer_capacity_s = 30.0;
-
-  /// Which solver answers each per-chunk horizon problem: the exact
-  /// branch-and-bound search (the paper's formulation) or the discretized
-  /// value-iteration DP (core/dp_solver.hpp), whose decisions match within
-  /// the documented discretization tolerance.
-  SolverBackend backend = SolverBackend::kBranchAndBound;
-
-  /// Buffer-grid resolution for the value-iteration backend.
-  std::size_t dp_buffer_bins = 600;
 };
 
 /// Model predictive control bitrate adaptation (Algorithm 1 of the paper):
@@ -78,9 +67,6 @@ class MpcController final : public sim::BitrateController {
 
  private:
   HorizonSolver solver_;
-  /// Non-null iff config_.backend == kValueIteration; decide() then routes
-  /// every solve through it instead of solver_.
-  std::unique_ptr<DpHorizonSolver> dp_solver_;
   MpcConfig config_;
   /// Per-decision horizon-solve latency, labeled algorithm="MPC" or
   /// "RobustMPC" — the Table 1 / §5 overhead claim as a live metric.

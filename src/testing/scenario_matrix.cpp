@@ -370,7 +370,7 @@ std::string TournamentReport::to_table() const {
   std::string out;
   char line[256];
   out += "# tournament ranking (mean over every cell; solver effort in "
-         "nodes/evaluations)\n";
+         "search nodes)\n";
   std::snprintf(line, sizeof line, "%-4s %-12s %12s %14s %12s %10s %14s\n",
                 "rank", "algorithm", "mean_qoe", "rebuf_ratio", "avg_kbps",
                 "switches", "solver_nodes");

@@ -77,8 +77,8 @@ struct MatrixConfig {
 };
 
 /// Aggregates of one (algorithm, family, scenario) cell over its sessions.
-/// Only deterministic quantities: solver effort is counted in nodes (search
-/// nodes or DP evaluations), never wall time, so the JSON report is
+/// Only deterministic quantities: solver effort is counted in
+/// branch-and-bound search nodes, never wall time, so the JSON report is
 /// byte-identical across runs and machines of the same build.
 struct CellResult {
   std::string algorithm;

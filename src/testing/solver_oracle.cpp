@@ -1,0 +1,59 @@
+#include "testing/solver_oracle.hpp"
+
+#include <algorithm>
+#include <cmath>
+#include <limits>
+#include <vector>
+
+namespace abr::testing {
+
+core::HorizonSolution exhaustive_reference(
+    const media::VideoManifest& manifest, const qoe::QoeModel& qoe,
+    const core::HorizonProblem& problem) {
+  const qoe::QoeWeights& w = qoe.weights();
+  const std::size_t levels = manifest.level_count();
+  const std::size_t horizon =
+      std::min(problem.predicted_kbps.size(),
+               manifest.chunk_count() - problem.first_chunk);
+
+  core::HorizonSolution best;
+  best.objective = -std::numeric_limits<double>::infinity();
+  std::vector<std::size_t> current(horizon);
+
+  auto recurse = [&](auto&& self, std::size_t depth, double buffer,
+                     std::size_t prev, bool has_prev, double value) -> void {
+    if (depth == horizon) {
+      if (value > best.objective) {
+        best.objective = value;
+        best.levels = current;
+      }
+      return;
+    }
+    for (std::size_t i = 0; i < levels; ++i) {
+      const std::size_t level = levels - 1 - i;
+      const double download_s =
+          manifest.chunk_kilobits(problem.first_chunk + depth, level) /
+          problem.predicted_kbps[depth];
+      const double rebuffer = std::max(0.0, download_s - buffer);
+      const double next_buffer =
+          std::min(std::max(buffer - download_s, 0.0) +
+                       manifest.chunk_duration_s(),
+                   problem.buffer_capacity_s);
+      double step_value =
+          qoe.quality(manifest.bitrate_kbps(level)) - w.mu * rebuffer -
+          (rebuffer > 0.0 ? w.mu_event : 0.0);
+      if (has_prev) {
+        step_value -= w.lambda *
+                      std::abs(qoe.quality(manifest.bitrate_kbps(level)) -
+                               qoe.quality(manifest.bitrate_kbps(prev)));
+      }
+      current[depth] = level;
+      self(self, depth + 1, next_buffer, level, true, value + step_value);
+    }
+  };
+  recurse(recurse, 0, problem.buffer_s, problem.prev_level, problem.has_prev,
+          0.0);
+  return best;
+}
+
+}  // namespace abr::testing

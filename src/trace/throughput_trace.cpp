@@ -28,11 +28,20 @@ ThroughputTrace::ThroughputTrace(std::vector<TraceSegment> segments,
     }
     cum_time_.push_back(t);
     cum_kb_.push_back(kb);
+    if (t + seg.duration_s == t) {
+      // Lost to rounding: the segment would have no extent on the time axis.
+      throw std::invalid_argument(
+          "ThroughputTrace: duration too small to advance the trace");
+    }
     t += seg.duration_s;
     kb += seg.duration_s * seg.rate_kbps;
   }
   period_s_ = t;
   total_kb_ = kb;
+  if (!std::isfinite(period_s_) || !std::isfinite(total_kb_)) {
+    throw std::invalid_argument(
+        "ThroughputTrace: non-finite period or capacity");
+  }
   if (!(total_kb_ > 0.0)) {
     throw std::invalid_argument("ThroughputTrace: zero total capacity");
   }
@@ -96,7 +105,10 @@ std::size_t ThroughputTrace::segment_at(double u, std::size_t& hint) const {
 }
 
 double ThroughputTrace::kilobits_before(double u, std::size_t& hint) const {
-  assert(u >= 0.0 && u <= period_s_ + 1e-9);
+  // A phase taken modulo the period may round a hair outside [0, period]:
+  // segment_at keeps one below zero in the first segment, and the clamp
+  // below caps one past the end.
+  assert(u >= -1e-9 && u <= period_s_ + 1e-9);
   u = std::min(u, period_s_);
   const std::size_t index = segment_at(u, hint);
   return cum_kb_[index] + (u - cum_time_[index]) * segments_[index].rate_kbps;

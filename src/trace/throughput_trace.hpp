@@ -32,8 +32,10 @@ class ThroughputTrace {
   ThroughputTrace() = default;
 
   /// Builds a trace from segments. Throws std::invalid_argument if empty,
-  /// if any duration is non-positive, if any rate is negative, or if the
-  /// total capacity of one period is zero (a transfer could never finish).
+  /// if any duration is non-positive or too small to advance the running
+  /// time (t + d == t after rounding), if any rate is negative, if one
+  /// period's duration or capacity is not finite, or if that capacity is
+  /// zero (a transfer could never finish).
   explicit ThroughputTrace(std::vector<TraceSegment> segments,
                            std::string name = {});
 

@@ -7,19 +7,20 @@
 #include <stdexcept>
 
 #include "util/csv.hpp"
+#include "util/json.hpp"
 #include "util/strings.hpp"
 
 namespace abr::trace {
 
 std::string to_csv(const ThroughputTrace& trace) {
-  std::ostringstream out;
-  out << "duration_s,rate_kbps\n";
-  out.setf(std::ios::fixed);
-  out.precision(6);
+  std::string out = "duration_s,rate_kbps\n";
   for (const TraceSegment& seg : trace.segments()) {
-    out << seg.duration_s << ',' << seg.rate_kbps << '\n';
+    out += util::json_number(seg.duration_s);
+    out += ',';
+    out += util::json_number(seg.rate_kbps);
+    out += '\n';
   }
-  return out.str();
+  return out;
 }
 
 ThroughputTrace from_csv(std::string_view text, std::string name) {

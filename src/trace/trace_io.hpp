@@ -7,7 +7,9 @@
 
 namespace abr::trace {
 
-/// Serializes a trace as CSV with header "duration_s,rate_kbps".
+/// Serializes a trace as CSV with header "duration_s,rate_kbps". Each
+/// number is util::json_number's text, which reads back as the same double
+/// (a rate of -0 as 0), so from_csv(to_csv(t)) has t's segments.
 std::string to_csv(const ThroughputTrace& trace);
 
 /// Parses the CSV format written by to_csv. Throws std::invalid_argument on

@@ -11,11 +11,10 @@ namespace abr::util {
 
 namespace {
 
-// 2^64 and 2^63 are exactly representable as doubles; the half-open upper
-// bound avoids the classic `value <= UINT64_MAX` trap (UINT64_MAX rounds up
-// to 2^64 as a double, so that comparison admits an out-of-range value).
+// 2^64 is exactly representable as a double; the half-open upper bound
+// avoids the classic `value <= UINT64_MAX` trap (UINT64_MAX rounds up to
+// 2^64 as a double, so that comparison admits an out-of-range value).
 constexpr double kTwo64 = 18446744073709551616.0;
-constexpr double kTwo63 = 9223372036854775808.0;
 
 bool is_integral_finite(double value) {
   return std::isfinite(value) && std::floor(value) == value;
@@ -38,19 +37,6 @@ bool size_from_double(double value, std::size_t& out) {
     return false;
   }
   out = static_cast<std::size_t>(wide);
-  return true;
-}
-
-bool int_from_double(double value, int& out) {
-  if (!is_integral_finite(value) || value < -kTwo63 || value >= kTwo63) {
-    return false;
-  }
-  const auto wide = static_cast<std::int64_t>(value);
-  if (wide < std::numeric_limits<int>::min() ||
-      wide > std::numeric_limits<int>::max()) {
-    return false;
-  }
-  out = static_cast<int>(wide);
   return true;
 }
 

@@ -22,10 +22,6 @@ bool u64_from_double(double value, std::uint64_t& out);
 /// integral, and in [0, SIZE_MAX].
 bool size_from_double(double value, std::size_t& out);
 
-/// Converts `value` to int. Returns false unless `value` is finite,
-/// integral, and in [INT_MIN, INT_MAX].
-bool int_from_double(double value, int& out);
-
 /// Parses a non-negative integer out of `text` into uint64_t; returns false
 /// on malformed input, trailing garbage, or overflow (std::from_chars under
 /// the hood — never wraps, never throws).

@@ -30,7 +30,6 @@ TEST(Algorithms, NamesAreStable) {
   EXPECT_STREQ(algorithm_name(Algorithm::kDashJs), "dash.js");
   EXPECT_STREQ(algorithm_name(Algorithm::kFestive), "FESTIVE");
   EXPECT_STREQ(algorithm_name(Algorithm::kBola), "BOLA");
-  EXPECT_STREQ(algorithm_name(Algorithm::kMpcDp), "MPC-DP");
 }
 
 TEST(Algorithms, RegistryCoversEveryAlgorithmExactlyOnce) {

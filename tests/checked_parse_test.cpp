@@ -48,18 +48,6 @@ TEST(U64FromDouble, RejectsNegativeFractionalAndNonFinite) {
   EXPECT_FALSE(u64_from_double(std::numeric_limits<double>::quiet_NaN(), out));
 }
 
-TEST(IntFromDouble, RangeChecked) {
-  int out = 0;
-  EXPECT_TRUE(int_from_double(503.0, out));
-  EXPECT_EQ(out, 503);
-  EXPECT_TRUE(int_from_double(-7.0, out));
-  EXPECT_EQ(out, -7);
-  EXPECT_FALSE(int_from_double(2147483648.0, out));   // INT_MAX + 1
-  EXPECT_FALSE(int_from_double(-2147483649.0, out));  // INT_MIN - 1
-  EXPECT_FALSE(int_from_double(0.25, out));
-  EXPECT_FALSE(int_from_double(std::nan(""), out));
-}
-
 TEST(ParseU64, FullConsumptionAndOverflow) {
   std::uint64_t out = 0;
   EXPECT_TRUE(parse_u64("0", out));

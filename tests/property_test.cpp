@@ -120,7 +120,7 @@ INSTANTIATE_TEST_SUITE_P(
                           core::Algorithm::kDashJs,
                           core::Algorithm::kFestive,
                           core::Algorithm::kBola,
-                          core::Algorithm::kMpcDp),
+                          core::Algorithm::kMpc),
         ::testing::Values(qoe::QoePreference::kBalanced,
                           qoe::QoePreference::kAvoidInstability,
                           qoe::QoePreference::kAvoidRebuffering)),

@@ -1,78 +1,17 @@
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <limits>
 #include <stdexcept>
 #include <vector>
 
 #include "core/horizon_solver.hpp"
 #include "test_helpers.hpp"
+#include "testing/solver_oracle.hpp"
 #include "util/rng.hpp"
 
 namespace abr::core {
 namespace {
-
-struct Reference {
-  std::vector<std::size_t> levels;
-  double objective = 0.0;
-};
-
-/// Exhaustive enumeration with the solver's exact step arithmetic and its
-/// exact tie-break: levels are tried from highest quality down and an
-/// incumbent is replaced only by a strictly better sequence, so the first
-/// optimum in that order wins — the same sequence branch-and-bound returns.
-/// Every arithmetic expression below mirrors HorizonSolver::solve term for
-/// term so the comparison can demand bit-identical doubles, not tolerances.
-Reference exhaustive_reference(const media::VideoManifest& manifest,
-                               const qoe::QoeModel& qoe,
-                               const HorizonProblem& problem) {
-  const qoe::QoeWeights& w = qoe.weights();
-  const std::size_t levels = manifest.level_count();
-  const std::size_t horizon =
-      std::min(problem.predicted_kbps.size(),
-               manifest.chunk_count() - problem.first_chunk);
-
-  Reference best;
-  best.objective = -std::numeric_limits<double>::infinity();
-  std::vector<std::size_t> current(horizon);
-
-  auto recurse = [&](auto&& self, std::size_t depth, double buffer,
-                     std::size_t prev, bool has_prev, double value) -> void {
-    if (depth == horizon) {
-      if (value > best.objective) {
-        best.objective = value;
-        best.levels = current;
-      }
-      return;
-    }
-    for (std::size_t i = 0; i < levels; ++i) {
-      const std::size_t level = levels - 1 - i;
-      const double download_s =
-          manifest.chunk_kilobits(problem.first_chunk + depth, level) /
-          problem.predicted_kbps[depth];
-      const double rebuffer = std::max(0.0, download_s - buffer);
-      const double next_buffer =
-          std::min(std::max(buffer - download_s, 0.0) +
-                       manifest.chunk_duration_s(),
-                   problem.buffer_capacity_s);
-      double step_value =
-          qoe.quality(manifest.bitrate_kbps(level)) - w.mu * rebuffer -
-          (rebuffer > 0.0 ? w.mu_event : 0.0);
-      if (has_prev) {
-        step_value -= w.lambda *
-                      std::abs(qoe.quality(manifest.bitrate_kbps(level)) -
-                               qoe.quality(manifest.bitrate_kbps(prev)));
-      }
-      current[depth] = level;
-      self(self, depth + 1, next_buffer, level, true, value + step_value);
-    }
-  };
-  recurse(recurse, 0, problem.buffer_s, problem.prev_level, problem.has_prev,
-          0.0);
-  return best;
-}
 
 media::VideoManifest random_manifest(util::Rng& rng) {
   const std::size_t levels = static_cast<std::size_t>(rng.uniform_int(2, 6));
@@ -117,7 +56,8 @@ TEST(SolverWarmStart, AnyHintIsBitIdenticalToExhaustiveReference) {
     for (double& c : forecast) c = rng.uniform(100.0, 5000.0);
     const HorizonProblem base = random_problem(rng, levels, forecast);
 
-    const Reference reference = exhaustive_reference(manifest, qoe, base);
+    const HorizonSolution reference =
+        testing::exhaustive_reference(manifest, qoe, base);
     const HorizonSolution cold = solver.solve(base, workspace);
     ASSERT_EQ(cold.levels, reference.levels) << "trial " << trial;
     ASSERT_EQ(cold.objective, reference.objective) << "trial " << trial;
@@ -235,7 +175,8 @@ TEST(SolverWarmStart, SwitchAwareBoundIsExactAcrossFamiliesAndEdges) {
     base.predicted_kbps = forecast;
     base.first_chunk = static_cast<std::size_t>(rng.uniform_int(0, 8));
 
-    const Reference reference = exhaustive_reference(manifest, qoe, base);
+    const HorizonSolution reference =
+        testing::exhaustive_reference(manifest, qoe, base);
     const HorizonSolution cold = solver.solve(base, workspace);
     ASSERT_EQ(cold.levels, reference.levels) << "trial " << trial;
     ASSERT_EQ(cold.objective, reference.objective) << "trial " << trial;

@@ -19,6 +19,17 @@ TEST(TraceIo, CsvRoundTrip) {
   EXPECT_EQ(restored.name(), "t");
 }
 
+TEST(TraceIo, CsvRoundTripIsBitExact) {
+  // Six fixed decimals used to write a sub-microsecond duration as 0, which
+  // the reader then rejected; shortest round-trip text keeps every bit.
+  EXPECT_EQ(to_csv(ThroughputTrace({{1e-7, 1000.0}})),
+            "duration_s,rate_kbps\n1e-07,1000\n");
+  const ThroughputTrace trace(
+      {{1e-7, 1000.0}, {2.5e-10, 3.3}, {0.1, 9e17}, {1e17, 1.0 / 3.0}}, "t");
+  // No value is zero or NaN, so == on each double is equality of its bits.
+  EXPECT_EQ(from_csv(to_csv(trace), "t").segments(), trace.segments());
+}
+
 TEST(TraceIo, FromCsvRejectsWrongColumns) {
   EXPECT_THROW(from_csv("a,b,c\n1,2,3\n"), std::invalid_argument);
 }

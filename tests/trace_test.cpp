@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <stdexcept>
 
 #include "media/manifest.hpp"
@@ -62,6 +63,29 @@ TEST(ThroughputTrace, RejectsInvalidSegments) {
   // All-zero capacity: a transfer could never complete.
   EXPECT_THROW(ThroughputTrace({{1.0, 0.0}, {2.0, 0.0}}),
                std::invalid_argument);
+}
+
+TEST(ThroughputTrace, RejectsHostileMagnitudes) {
+  // A duration that rounds away against the running time (1e17 + 1 ==
+  // 1e17) would give a segment no extent on the time axis.
+  EXPECT_THROW(ThroughputTrace({{1e17, 100.0}, {1.0, 500.0}}),
+               std::invalid_argument);
+  // A period or a period's capacity that overflows to infinity.
+  EXPECT_THROW(ThroughputTrace({{1e308, 1.0}, {1e308, 1.0}}),
+               std::invalid_argument);
+  EXPECT_THROW(ThroughputTrace({{1e308, 10.0}}), std::invalid_argument);
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(ThroughputTrace({{1.0, 9e17}, {1.0, inf}}),
+               std::invalid_argument);
+  EXPECT_THROW(ThroughputTrace({{1.0, nan}}), std::invalid_argument);
+
+  // Tiny and huge values that still add up are kept exactly.
+  const ThroughputTrace tiny({{1e-10, 9e17}, {1e-6, 0.0}, {2.0, 500.0}});
+  EXPECT_EQ(tiny.period_s(), 1e-10 + 1e-6 + 2.0);
+  const ThroughputTrace huge({{1e308, 0.5}});
+  EXPECT_EQ(huge.period_s(), 1e308);
+  EXPECT_EQ(huge.kilobits_between(0.0, huge.period_s()), 5e307);
 }
 
 TEST(ThroughputTrace, ConstantTraceBasics) {

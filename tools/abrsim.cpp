@@ -73,8 +73,7 @@ struct Options {
 void usage() {
   std::puts(
       "usage: abrsim [options]\n"
-      "  --algorithm rb|bb|festive|dashjs|mpc|robustmpc|fastmpc|mpcopt|\n"
-      "              bola|mpcdp\n"
+      "  --algorithm rb|bb|festive|dashjs|mpc|robustmpc|fastmpc|mpcopt|bola\n"
       "  --trace FILE.csv          throughput trace (duration_s,rate_kbps)\n"
       "  --dataset fcc|hsdpa|markov  synthesize instead (default hsdpa)\n"
       "  --index N                 trace index within the dataset\n"
@@ -126,7 +125,6 @@ std::optional<core::Algorithm> parse_algorithm(std::string_view name) {
   if (lower == "fastmpc") return core::Algorithm::kFastMpc;
   if (lower == "mpcopt" || lower == "mpc-opt") return core::Algorithm::kMpcOpt;
   if (lower == "bola") return core::Algorithm::kBola;
-  if (lower == "mpcdp" || lower == "mpc-dp") return core::Algorithm::kMpcDp;
   return std::nullopt;
 }
 
