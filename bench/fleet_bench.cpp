@@ -1,4 +1,4 @@
-// Fleet-scale soak harness for the SoA shared-link engine
+// Fleet-scale soak harness for the exact shared-link engine
 // (BENCH_fleet.json).
 //
 // Simulates a rolling-arrival fleet of N sessions on one shared link —
@@ -6,22 +6,21 @@
 // same CBR ladder with a fixed rung — and reports:
 //
 //   - sessions/sec        (N / simulation wall time)
-//   - p99 step latency    (abr_fleet_step_latency_us histogram)
 //   - peak RSS            (getrusage ru_maxrss)
 //   - deterministic outcome checksums (chunks, QoE sum, Jain, utilization)
 //
-// The deterministic metrics are gated hard against --baseline (the outcome
-// of the soak is a pure function of the config); sessions/sec is gated
-// loosely (--min-sessions-frac, default 0.25x baseline) so a noisy CI box
-// does not flake while a real 4x regression still fails. --compare-reference
-// additionally runs the reference engine on the same workload and reports
-// the speedup (gated by --min-speedup when nonzero).
+// After the timed region every session is replayed through
+// InvariantChecker::check_all (Eqs. (1)-(5) and the aggregates); any
+// violation fails the run. The deterministic metrics are gated hard against
+// --baseline (the outcome of the soak is a pure function of the config);
+// sessions/sec is gated loosely (--min-sessions-frac, default 0.25x
+// baseline) so a noisy CI box does not flake while a real 4x regression
+// still fails.
 //
 // Usage:
-//   fleet_bench [--sessions N] [--engine soa|reference] [--out FILE]
-//               [--baseline FILE] [--compare-reference] [--min-speedup X]
+//   fleet_bench [--sessions N] [--out FILE] [--baseline FILE]
 //               [--min-sessions-frac F] [--chunks N] [--chunk-duration S]
-//               [--dt S] [--arrival-window-factor F] [--link-kbps-per-session K]
+//               [--arrival-window-factor F] [--link-kbps-per-session K]
 
 #include <sys/resource.h>
 
@@ -36,12 +35,10 @@
 #include <vector>
 
 #include "media/manifest.hpp"
-#include "obs/metrics.hpp"
-#include "obs/names.hpp"
 #include "predict/predictor.hpp"
 #include "qoe/qoe.hpp"
-#include "sim/fleet_engine.hpp"
 #include "sim/multiplayer.hpp"
+#include "testing/invariant_checker.hpp"
 #include "trace/throughput_trace.hpp"
 #include "util/json.hpp"
 
@@ -51,15 +48,11 @@ using Clock = std::chrono::steady_clock;
 
 struct Options {
   std::size_t sessions = 1000000;
-  std::string engine = "soa";
   std::string out = "BENCH_fleet.json";
   std::string baseline;
-  bool compare_reference = false;
-  double min_speedup = 0.0;
   double min_sessions_frac = 0.25;
   std::size_t chunks = 32;
   double chunk_duration_s = 4.0;
-  double dt_s = 0.02;
   double arrival_window_factor = 2.0;
   double link_kbps_per_session = 3000.0;
 };
@@ -77,24 +70,16 @@ Options parse_options(int argc, char** argv) {
     };
     if (flag == "--sessions") {
       options.sessions = std::stoul(next());
-    } else if (flag == "--engine") {
-      options.engine = next();
     } else if (flag == "--out") {
       options.out = next();
     } else if (flag == "--baseline") {
       options.baseline = next();
-    } else if (flag == "--compare-reference") {
-      options.compare_reference = true;
-    } else if (flag == "--min-speedup") {
-      options.min_speedup = std::stod(next());
     } else if (flag == "--min-sessions-frac") {
       options.min_sessions_frac = std::stod(next());
     } else if (flag == "--chunks") {
       options.chunks = std::stoul(next());
     } else if (flag == "--chunk-duration") {
       options.chunk_duration_s = std::stod(next());
-    } else if (flag == "--dt") {
-      options.dt_s = std::stod(next());
     } else if (flag == "--arrival-window-factor") {
       options.arrival_window_factor = std::stod(next());
     } else if (flag == "--link-kbps-per-session") {
@@ -104,9 +89,8 @@ Options parse_options(int argc, char** argv) {
       std::exit(2);
     }
   }
-  if (options.sessions == 0 ||
-      (options.engine != "soa" && options.engine != "reference")) {
-    std::cerr << "fleet_bench: bad --sessions or --engine\n";
+  if (options.sessions == 0) {
+    std::cerr << "fleet_bench: bad --sessions\n";
     std::exit(2);
   }
   return options;
@@ -146,9 +130,11 @@ struct SoakOutcome {
   double qoe_sum = 0.0;
   double jain = 0.0;
   double link_utilization = 0.0;
+  std::size_t invalid_sessions = 0;
+  std::string first_violation;
 };
 
-SoakOutcome run_soak(const Options& options, bool soa) {
+SoakOutcome run_soak(const Options& options) {
   const auto ladder = abr::media::VideoManifest::envivio_default();
   const auto manifest = abr::media::VideoManifest::cbr(
       options.chunks, options.chunk_duration_s, ladder.bitrates_kbps());
@@ -176,7 +162,6 @@ SoakOutcome run_soak(const Options& options, bool soa) {
   }
 
   abr::sim::MultiPlayerConfig config;
-  config.time_step_s = options.dt_s;
   config.startup_stagger_s = options.arrival_window_factor *
                              manifest.duration_s() / static_cast<double>(n);
 
@@ -184,16 +169,25 @@ SoakOutcome run_soak(const Options& options, bool soa) {
   const std::span<abr::predict::ThroughputPredictor* const> ps(predictor_ptrs);
   const auto start = Clock::now();
   const abr::sim::MultiPlayerResult result =
-      soa ? abr::sim::simulate_shared_link_soa(link, manifest, qoe, config,
-                                               cs, ps)
-          : abr::sim::simulate_shared_link(link, manifest, qoe, config, cs,
-                                           ps);
+      abr::sim::simulate_shared_link(link, manifest, qoe, config, cs, ps);
   SoakOutcome outcome;
   outcome.wall_s = std::chrono::duration<double>(Clock::now() - start).count();
   outcome.sessions_per_sec = static_cast<double>(n) / outcome.wall_s;
-  for (const abr::sim::SessionResult& player : result.players) {
+  abr::testing::InvariantOptions invariants;
+  invariants.chunk_duration_s = manifest.chunk_duration_s();
+  invariants.buffer_capacity_s = config.session.buffer_capacity_s;
+  const abr::testing::InvariantChecker checker(invariants);
+  for (std::size_t i = 0; i < n; ++i) {
+    const abr::sim::SessionResult& player = result.players[i];
     outcome.total_chunks += player.chunks.size();
     outcome.qoe_sum += player.qoe;
+    const abr::testing::InvariantReport report = checker.check_all(player, qoe);
+    if (report.ok()) continue;
+    if (outcome.invalid_sessions == 0) {
+      outcome.first_violation =
+          "session p" + std::to_string(i) + ": " + report.violations.front();
+    }
+    ++outcome.invalid_sessions;
   }
   outcome.jain = result.jain_fairness;
   outcome.link_utilization = result.link_utilization;
@@ -212,43 +206,21 @@ int main(int argc, char** argv) {
   const Options options = parse_options(argc, argv);
   bool failed = false;
 
-  // Reference comparison first so the primary soak's histogram and RSS are
-  // not polluted by the warm-up run's instruments.
-  double reference_wall_s = 0.0;
-  double speedup = 0.0;
-  if (options.compare_reference) {
-    const SoakOutcome reference = run_soak(options, /*soa=*/false);
-    reference_wall_s = reference.wall_s;
-    std::cout << "fleet_bench: reference engine " << reference.wall_s
-              << " s (" << reference.sessions_per_sec << " sessions/sec)\n";
-  }
-
-  abr::obs::MetricsRegistry& registry = abr::obs::MetricsRegistry::global();
-  registry.set_enabled(true);
-  registry.reset();
-  const SoakOutcome soak = run_soak(options, options.engine == "soa");
-  const abr::obs::HistogramSnapshot step_latency =
-      registry.histogram(abr::obs::kFleetStepLatencyUs).snapshot();
+  const SoakOutcome soak = run_soak(options);
   const double rss_mb = peak_rss_mb();
-
-  if (options.compare_reference) {
-    speedup = reference_wall_s / soak.wall_s;
-    std::cout << "fleet_bench: speedup " << speedup << "x over reference\n";
-    if (options.min_speedup > 0.0 && speedup < options.min_speedup) {
-      std::cerr << "fleet_bench: FAIL speedup " << speedup << "x < required "
-                << options.min_speedup << "x\n";
-      failed = true;
-    }
+  if (soak.invalid_sessions > 0) {
+    std::cerr << "fleet_bench: FAIL " << soak.invalid_sessions
+              << " sessions break an invariant; first: "
+              << soak.first_violation << "\n";
+    failed = true;
   }
 
   using abr::util::json_number;
   std::ostringstream json;
   json << "{\n";
   json << "  \"config\": {\"sessions\": " << options.sessions
-       << ", \"engine\": \"" << options.engine
-       << "\", \"chunks\": " << options.chunks
+       << ", \"chunks\": " << options.chunks
        << ", \"chunk_duration_s\": " << json_number(options.chunk_duration_s)
-       << ", \"dt_s\": " << json_number(options.dt_s)
        << ", \"arrival_window_factor\": "
        << json_number(options.arrival_window_factor)
        << ", \"link_kbps_per_session\": "
@@ -257,23 +229,13 @@ int main(int argc, char** argv) {
   json << "    \"wall_s\": " << json_number(soak.wall_s) << ",\n";
   json << "    \"sessions_per_sec\": " << json_number(soak.sessions_per_sec)
        << ",\n";
-  json << "    \"p50_step_us\": " << json_number(step_latency.p50) << ",\n";
-  json << "    \"p99_step_us\": " << json_number(step_latency.p99) << ",\n";
-  json << "    \"steps\": " << step_latency.count << ",\n";
   json << "    \"peak_rss_mb\": " << json_number(rss_mb) << ",\n";
   json << "    \"total_chunks\": " << soak.total_chunks << ",\n";
   json << "    \"qoe_sum\": " << json_number(soak.qoe_sum) << ",\n";
   json << "    \"jain_fairness\": " << json_number(soak.jain) << ",\n";
   json << "    \"link_utilization\": " << json_number(soak.link_utilization)
        << "\n";
-  json << "  }";
-  if (options.compare_reference) {
-    json << ",\n  \"compare\": {\n";
-    json << "    \"reference_wall_s\": " << json_number(reference_wall_s)
-         << ",\n";
-    json << "    \"speedup\": " << json_number(speedup) << "\n  }";
-  }
-  json << "\n}\n";
+  json << "  }\n}\n";
 
   std::ofstream out(options.out);
   out << json.str();
@@ -342,7 +304,6 @@ int main(int argc, char** argv) {
 
   if (failed) return 1;
   std::cout << "fleet_bench: OK (" << soak.sessions_per_sec
-            << " sessions/sec, p99 step " << step_latency.p99 << " us, peak "
-            << rss_mb << " MB)\n";
+            << " sessions/sec, peak " << rss_mb << " MB)\n";
   return 0;
 }

@@ -86,8 +86,6 @@ void register_standard_metrics(MetricsRegistry& registry) {
   registry.gauge(kFleetSessionsActive);
   registry.counter(kFleetBucketsEvictedTotal);
   registry.gauge(kServerShardConnections, shard_label(0));
-  registry.histogram(kFleetStepLatencyUs, "",
-                     exponential_buckets(1.0, 2.0, 20));
 }
 
 }  // namespace abr::obs

@@ -90,11 +90,9 @@ inline constexpr char kFleetSessionsActive[] = "abr_fleet_sessions_active";
 inline constexpr char kFleetBucketsEvictedTotal[] =
     "abr_fleet_buckets_evicted_total";
 
-// Sharded serving core + SoA fleet engine (net/epoll_server,
-// sim/fleet_engine).
+// Sharded serving core (net/epoll_server).
 inline constexpr char kServerShardConnections[] =
     "abr_server_shard_connections";
-inline constexpr char kFleetStepLatencyUs[] = "abr_fleet_step_latency_us";
 
 /// Label body for a solve-latency histogram, e.g. algorithm="MPC".
 std::string solve_algorithm_label(const std::string& algorithm);

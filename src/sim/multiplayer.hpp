@@ -9,68 +9,57 @@
 #include "sim/fleet_series.hpp"
 #include "sim/player.hpp"
 
-namespace abr::obs {
-class Journal;
-class TraceWriter;
-}
-
 namespace abr::sim {
 
 /// Configuration of a shared-bottleneck experiment.
 struct MultiPlayerConfig {
-  /// Per-player session settings. Only kFirstChunk and kBufferThreshold
-  /// startup policies are supported here (kFixedDelay is a single-player
-  /// sensitivity device).
+  /// Per-player session settings, read as a single session reads them
+  /// (trace_writer and journal included; each player journals as "p<i>" on
+  /// trace track i). Only kFirstChunk and kBufferThreshold startup policies
+  /// are supported here (kFixedDelay is a single-player sensitivity device).
   SessionConfig session;
 
   /// Player i begins downloading at i * startup_stagger_s, modeling viewers
   /// joining over time.
   double startup_stagger_s = 0.0;
 
-  /// Simulation time step. Downloads complete within one step of their true
-  /// finish time; 50 ms is far below the chunk timescale (seconds).
-  double time_step_s = 0.05;
-
-  /// Optional Chrome trace-event sink: each player's downloads, rebuffers,
-  /// and buffer-level counter render on their own track (tid = player
-  /// index). Per-player metrics (chunks, rebuffer seconds, labeled
-  /// player="i") go to obs::MetricsRegistry::global() when it is enabled.
-  obs::TraceWriter* trace_writer = nullptr;
-
   /// Optional fleet time-series aggregator: per-bucket QoE percentiles,
   /// rebuffer ratio, bitrate distribution, and sessions active, fed as
   /// chunks complete. Must outlive the call.
   FleetSeries* fleet = nullptr;
-
-  /// Optional structured journal: one chunk record per download (session
-  /// "p<i>") and one session record per player. Must outlive the call.
-  obs::Journal* journal = nullptr;
 };
 
 /// Outcome of a shared-link simulation.
 struct MultiPlayerResult {
+  /// Each player's session on its own clock (seconds since it joined), as
+  /// PlayerSession reports a single session.
   std::vector<SessionResult> players;
 
   /// Jain fairness index over the players' average bitrates, in
   /// (1/n, 1]; 1 = perfectly equal shares.
   double jain_fairness = 0.0;
 
-  /// Fraction of the link's capacity delivered while at least one player
-  /// was still downloading.
+  /// Kilobits delivered over the kilobits the link offered from time 0 to
+  /// the last download's completion.
   double link_utilization = 0.0;
 };
 
 /// Simulates N players streaming the same video through one bottleneck
 /// whose total capacity follows `link`. Concurrently active downloads split
-/// the instantaneous capacity equally (the idealized TCP fair share) — the
-/// multi-player interaction the paper defers to future work (Section 8) and
-/// the setting FESTIVE [34] was designed for.
+/// the instantaneous capacity equally (egalitarian processor sharing, the
+/// idealized TCP fair share) — the multi-player interaction the paper
+/// defers to future work (Section 8) and the setting FESTIVE [34] was
+/// designed for.
 ///
-/// Dynamics per player replicate PlayerSession (Eqs. (1)-(4)); the only
-/// difference is that each player's download rate is its fair share of the
-/// link rather than the whole trace. Controllers therefore see the biased,
+/// The simulation is exact and event-driven: each player runs
+/// PlayerKernel's per-chunk step, the same code as PlayerSession, at the
+/// instants its downloads finish and its buffer-full waits end, so one
+/// player alone reproduces PlayerSession bit for bit. The only difference
+/// is that a player's download rate is its fair share of the link rather
+/// than the whole trace. Controllers therefore see the biased,
 /// competition-dependent throughput samples that make this setting hard
-/// (the "downward spiral" of Huang et al.).
+/// (the "downward spiral" of Huang et al.). The FleetSeries and the trace
+/// timeline are on the fleet's clock, so players line up.
 ///
 /// controllers/predictors must each have exactly one entry per player and
 /// outlive the call.

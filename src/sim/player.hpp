@@ -1,5 +1,6 @@
 #pragma once
 
+#include <string>
 #include <vector>
 
 #include "media/manifest.hpp"
@@ -9,6 +10,7 @@
 #include "sim/controller.hpp"
 
 namespace abr::obs {
+class Histogram;
 class Journal;
 class TraceWriter;
 }
@@ -156,6 +158,102 @@ struct SessionResult {
   std::size_t partial_chunks = 0;   ///< chunks played as a prefix only
   std::size_t resume_count = 0;     ///< range-resumed transfers
   double wasted_kilobits = 0.0;     ///< bytes downloaded but never played
+};
+
+class FleetSeries;
+
+/// Session time a player lets pass after a chunk, before its next request
+/// (Eq. (4)), in the order the two parts elapse.
+struct ChunkWait {
+  double idle_s = 0.0;   ///< kFixedDelay only: idling until playback starts
+  double drain_s = 0.0;  ///< draining the buffer's excess over Bmax
+};
+
+/// One player's per-chunk step, Eqs. (1)-(5) of the paper, written once for
+/// every engine. PlayerSession runs begin() -> its ChunkSource's fetch ->
+/// complete() -> the source's wait for each chunk; the shared-link fleet
+/// calls the same halves at its event times. Every time passed in is on the
+/// session's own clock (seconds since it began), so a fleet player's
+/// records read exactly like a single session's.
+class PlayerKernel {
+ public:
+  /// Starts a session: resets the controller. All referents must outlive
+  /// the kernel.
+  PlayerKernel(const media::VideoManifest& manifest, const qoe::QoeModel& qoe,
+               const SessionConfig& config, BitrateController& controller,
+               predict::ThroughputPredictor& predictor);
+
+  /// Seats the session as player `index` of a shared-link fleet: journal
+  /// label "p<index>", trace track `index`, a timeline drawn `join_s` later
+  /// on the fleet's clock, and chunks fed to `series` (may be null).
+  void seat_in_fleet(std::size_t index, double join_s, FleetSeries* series);
+
+  /// True once every chunk has completed.
+  bool done() const { return chunks_done_ == manifest_->chunk_count(); }
+
+  /// Begin half: predicts, decides, and opens the next chunk's record.
+  /// Returns the chosen ladder index.
+  std::size_t begin(double now_s, const trace::ThroughputTrace* truth);
+
+  /// Runs the controller for the next chunk on the forecasts begin() made,
+  /// with decide-latency metrics and a trace span, and returns its choice.
+  /// begin() calls it; the abort monitor calls it again mid-transfer with
+  /// the buffer left at `now_s`.
+  std::size_t decide(double now_s, double buffer_s);
+
+  /// The open chunk's record. Delivery may amend its level, size and
+  /// provenance (degraded, aborted, partial, resumes, waste) before
+  /// complete().
+  ChunkRecord& open_record() { return result_.chunks.back(); }
+
+  bool playing() const { return playing_; }
+
+  /// Complete half: the transfer of the open chunk ended at `end_s`. Applies
+  /// Eq. (3), startup, Eq. (4), the Eq. (5) accumulation, metrics, trace and
+  /// journal, and returns the wait before the next request. A partial chunk
+  /// plays `played_fraction` of its duration.
+  ChunkWait complete(const FetchOutcome& outcome, double end_s,
+                     double played_fraction = 1.0);
+
+  /// Session finalizer: startup term, aggregates and the session journal
+  /// record, for a session whose clock reads `end_s` after its last wait.
+  SessionResult finish(double end_s);
+
+ private:
+  /// Stall incurred by `drain_s` of playback; drains the buffer.
+  double drain(double drain_s);
+
+  const media::VideoManifest* manifest_;
+  const qoe::QoeModel* qoe_;
+  const SessionConfig* config_;
+  BitrateController* controller_;
+  predict::ThroughputPredictor* predictor_;
+  obs::TraceWriter* tracer_;  ///< null unless a writer is attached and on
+  obs::Histogram* decide_hist_;
+  FleetSeries* series_ = nullptr;
+  std::string label_;
+  int track_;
+  double trace_offset_s_ = 0.0;  ///< session clock -> timeline clock
+  bool time_decisions_;
+  bool playback_start_emitted_ = false;
+
+  qoe::QoeModel::Accumulator qoe_acc_;
+  // Per-chunk Eq. (5) attribution (journal, fleet series): mirrors the
+  // Accumulator's smoothness memory so the charges sum to the session total.
+  double attributed_prev_quality_ = 0.0;
+  bool attributed_has_prev_ = false;
+  double attributed_qoe_ = 0.0;
+
+  std::vector<double> history_kbps_;
+  std::vector<double> predictions_;  ///< the open chunk's forecasts
+  DecisionTelemetry telemetry_;      ///< the open chunk's decision
+  double buffer_s_ = 0.0;
+  bool playing_ = false;
+  double startup_delay_s_ = 0.0;
+  std::size_t prev_level_ = 0;
+  bool has_prev_ = false;
+  std::size_t chunks_done_ = 0;
+  SessionResult result_;
 };
 
 /// The reference player: downloads chunks sequentially, makes one bitrate
