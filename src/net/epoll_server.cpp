@@ -16,33 +16,12 @@
 
 #include "obs/metrics.hpp"
 #include "obs/names.hpp"
-#include "util/strings.hpp"
 
 namespace abr::net {
 
 namespace {
 
 using Clock = std::chrono::steady_clock;
-
-/// Body bytes requests may carry, mirroring HttpConnection's framing guard.
-std::size_t content_length_of(const HttpHeaders& headers) {
-  const std::string* value = headers.find("Content-Length");
-  if (value == nullptr) return 0;
-  std::size_t length = 0;
-  if (!util::parse_size(*value, length) ||
-      length > HttpConnection::kMaxBodyBytes) {
-    throw std::invalid_argument("HTTP: bad Content-Length");
-  }
-  return length;
-}
-
-std::string_view first_line_of(std::string_view block) {
-  std::size_t end = block.find('\n');
-  if (end == std::string_view::npos) end = block.size();
-  std::string_view line = block.substr(0, end);
-  if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
-  return line;
-}
 
 }  // namespace
 
@@ -622,12 +601,12 @@ class EpollServer::Shard {
     const std::size_t boundary = connection.in.find("\r\n\r\n", from);
     if (boundary == std::string::npos) {
       connection.scan = connection.in.size();
-      if (connection.in.size() > HttpConnection::kMaxHeaderBytes) {
+      if (connection.in.size() > kMaxHeaderBytes) {
         respond_bad_request(connection);
       }
       return false;
     }
-    if (boundary > HttpConnection::kMaxHeaderBytes) {
+    if (boundary > kMaxHeaderBytes) {
       respond_bad_request(connection);
       return false;
     }
@@ -636,7 +615,7 @@ class EpollServer::Shard {
     connection.scan = 0;
 
     const std::string_view line = first_line_of(block);
-    if (line.size() > HttpConnection::kMaxRequestLineBytes) {
+    if (line.size() > kMaxRequestLineBytes) {
       respond_bad_request(connection);
       return false;
     }
@@ -1026,12 +1005,14 @@ void EpollServer::accept_loop() {
       stream = listener_.accept();
     } catch (const std::system_error&) {
       if (!running_.load()) break;  // listener closed: orderly shutdown
-      // EMFILE/ENFILE/ECONNABORTED: back off briefly and keep accepting —
-      // in-flight connections finishing will release descriptors.
+    }
+    if (!running_.load()) break;
+    if (!stream.valid()) {
+      // Out of descriptors, or another retryable failure: back off briefly
+      // and keep accepting — connections finishing release descriptors.
       std::this_thread::sleep_for(std::chrono::milliseconds(10));
       continue;
     }
-    if (!running_.load()) break;
     const bool reject = options_.max_connections != 0 &&
                         live_.load() >= options_.max_connections;
     if (reject) rejected_.fetch_add(1);

@@ -70,9 +70,10 @@ class ShaperGate {
 
   /// Claims the holder's next burst of at most `bytes`: walks kQuantumBytes
   /// quanta (the last one shorter) and charges each whose release instant,
-  /// per the trace's cumulative allowance, is at or before `now`. Stops at the first quantum not yet due or after
-  /// `bytes`, so a caller passing the bytes left before a stall point or
-  /// the body end never claims past either.
+  /// per the trace's cumulative allowance, is at or before `now`. Stops at
+  /// the first quantum not yet due or after `bytes`, so a caller passing the
+  /// bytes left before a stall point or the body end never claims past
+  /// either.
   Burst claim_burst(std::size_t bytes,
                     std::chrono::steady_clock::time_point now)
       ABR_EXCLUDES(mutex_);
@@ -91,9 +92,9 @@ class ShaperGate {
 /// shards round-robin; each shard owns one epoll instance, one timer heap,
 /// and a private connection table (no global connection lock on the serving
 /// path). Sockets are nonblocking and edge-triggered; request parsing is an
-/// incremental state machine with the same limits and error behaviour as
-/// the blocking HttpConnection (8 KB request line, 64 KB header block,
-/// slowloris idle deadlines), and response bodies are written zero-copy
+/// incremental state machine under net/http's framing limits (8 KB request
+/// line, 64 KB header block) and slowloris idle deadlines, and response
+/// bodies are written zero-copy
 /// from shared immutable buffers via writev.
 ///
 /// The server is protocol-agnostic above the request boundary: a Handler

@@ -1,8 +1,15 @@
 #include "net/http.hpp"
 
+#include <poll.h>
+#include <sys/socket.h>
+
 #include <algorithm>
+#include <cassert>
+#include <cerrno>
+#include <climits>
 #include <stdexcept>
 #include <system_error>
+#include <utility>
 
 #include "util/strings.hpp"
 
@@ -116,15 +123,14 @@ HttpHeaders parse_header_block(std::string_view block, std::size_t skip_lines) {
     if (colon == std::string_view::npos) {
       throw std::invalid_argument("HTTP: malformed header line");
     }
-    headers.entries.emplace_back(std::string(util::trim(line.substr(0, colon))),
-                                 std::string(util::trim(line.substr(colon + 1))));
+    headers.entries.emplace_back(
+        std::string(util::trim(line.substr(0, colon))),
+        std::string(util::trim(line.substr(colon + 1))));
   }
   return headers;
 }
 
-namespace {
-
-std::string_view first_line(std::string_view block) {
+std::string_view first_line_of(std::string_view block) {
   std::size_t end = block.find('\n');
   if (end == std::string_view::npos) end = block.size();
   std::string_view line = block.substr(0, end);
@@ -136,14 +142,11 @@ std::size_t content_length_of(const HttpHeaders& headers) {
   const std::string* value = headers.find("Content-Length");
   if (value == nullptr) return 0;
   std::size_t length = 0;
-  if (!util::parse_size(*value, length) ||
-      length > HttpConnection::kMaxBodyBytes) {
+  if (!util::parse_size(*value, length) || length > kMaxBodyBytes) {
     throw std::invalid_argument("HTTP: bad Content-Length");
   }
   return length;
 }
-
-}  // namespace
 
 std::string serialize_response_head(int status, std::string_view reason,
                                     const HttpHeaders& headers,
@@ -163,125 +166,166 @@ std::string serialize_response_head(int status, std::string_view reason,
   return out;
 }
 
-HttpConnection::HttpConnection(TcpStream stream) : stream_(std::move(stream)) {}
-
-std::optional<std::string> HttpConnection::read_header_block() {
-  while (true) {
-    const std::size_t boundary = buffer_.find("\r\n\r\n");
-    if (boundary != std::string::npos) {
-      // Enforce the cap on the extracted block, not just the pending
-      // buffer: a terminator arriving within one read chunk past the cap
-      // must not smuggle an oversized block through.
-      if (boundary > kMaxHeaderBytes) {
+std::size_t ResponseReader::feed(std::string_view bytes) {
+  std::size_t taken = 0;
+  if (!head_done_) {
+    // Keep at most kMaxHeaderBytes + 4 bytes: a blank line that ends past
+    // them starts past the cap, whatever the split. The line may straddle
+    // two feeds, so the scan resumes three bytes back.
+    const std::size_t had = head_.size();
+    head_.append(bytes.substr(0, kMaxHeaderBytes + 4 - had));
+    const std::size_t boundary = head_.find("\r\n\r\n", had < 3 ? 0 : had - 3);
+    if (boundary == std::string::npos) {
+      if (head_.size() == kMaxHeaderBytes + 4) {
         throw std::invalid_argument("HTTP: header block too large");
       }
-      std::string block = buffer_.substr(0, boundary);
-      buffer_.erase(0, boundary + 4);
-      return block;
+      return bytes.size();
     }
-    if (buffer_.size() > kMaxHeaderBytes) {
-      throw std::invalid_argument("HTTP: header block too large");
+    taken = boundary + 4 - had;
+    head_.resize(boundary);
+    if (!parse_status_line(first_line_of(head_), response_)) {
+      throw std::invalid_argument("HTTP: malformed status line");
     }
-    char chunk[8192];
-    const std::size_t n = stream().read(chunk, sizeof(chunk));
-    if (n == 0) {
-      if (buffer_.empty()) return std::nullopt;  // clean EOF between messages
-      throw std::invalid_argument("HTTP: connection closed mid-headers");
-    }
-    buffer_.append(chunk, n);
+    response_.headers = parse_header_block(head_, /*skip_lines=*/1);
+    response_.body.assign(content_length_of(response_.headers), '\0');
+    head_done_ = true;
+    bytes.remove_prefix(taken);
   }
-}
-
-std::string HttpConnection::read_exact(std::size_t size,
-                                       const ProgressCallback& progress) {
-  // Read in place: bytes that came with the header block move out of
-  // buffer_, the rest land straight in the body, one report per read.
-  std::string body(size, '\0');
-  std::size_t have = buffer_.copy(body.data(), size);
-  buffer_.erase(0, have);
-  if (progress && have > 0) progress(have, have == size);
-  while (have < size) {
-    const std::size_t n = stream().read(body.data() + have, size - have);
-    if (n == 0) throw std::invalid_argument("HTTP: connection closed mid-body");
-    have += n;
-    if (progress) progress(have, have == size);
-  }
-  return body;
-}
-
-std::optional<HttpRequest> HttpConnection::read_request() {
-  const auto block = read_header_block();
-  if (!block.has_value()) return std::nullopt;
-
-  const std::string_view line = first_line(*block);
-  if (line.size() > kMaxRequestLineBytes) {
-    throw std::invalid_argument("HTTP: request line too long");
-  }
-  HttpRequest request;
-  if (!parse_request_line(line, request)) {
-    throw std::invalid_argument("HTTP: malformed request line");
-  }
-  request.headers = parse_header_block(*block, /*skip_lines=*/1);
-  request.body = read_exact(content_length_of(request.headers), nullptr);
-  return request;
-}
-
-void HttpConnection::write_response(const HttpResponse& response) {
-  stream().write_all(serialize_response_head(response.status, response.reason,
-                                             response.headers,
-                                             response.body.size()));
-  stream().write_all(response.body);
-}
-
-void HttpConnection::write_request(const HttpRequest& request,
-                                   const std::string& host) {
-  std::string out = request.method + " " + request.target + " HTTP/1.1\r\n";
-  out += "Host: " + host + "\r\n";
-  for (const auto& [key, value] : request.headers.entries) {
-    out += key + ": " + value + "\r\n";
-  }
-  if (!request.body.empty()) {
-    out += "Content-Length: " + std::to_string(request.body.size()) + "\r\n";
-  }
-  out += "\r\n";
-  stream().write_all(out);
-  if (!request.body.empty()) stream().write_all(request.body);
-}
-
-HttpResponse HttpConnection::read_response(const ProgressCallback& progress) {
-  const auto block = read_header_block();
-  if (!block.has_value()) {
-    throw std::invalid_argument("HTTP: connection closed before response");
-  }
-  HttpResponse response;
-  if (!parse_status_line(first_line(*block), response)) {
-    throw std::invalid_argument("HTTP: malformed status line");
-  }
-  response.headers = parse_header_block(*block, /*skip_lines=*/1);
-  response.body = read_exact(content_length_of(response.headers), progress);
-  return response;
+  const std::size_t n = bytes.copy(body_tail(), body_missing());
+  landed(n);
+  return taken + n;
 }
 
 HttpClient::HttpClient(std::string host, std::uint16_t port, int timeout_ms)
-    : host_(std::move(host)), port_(port), timeout_ms_(timeout_ms) {}
+    : host_(std::move(host)),
+      port_(port),
+      timeout_(std::chrono::milliseconds(timeout_ms)) {}
 
-void HttpClient::set_timeout_ms(int timeout_ms) {
-  const util::MutexLock lock(mutex_);
-  timeout_ms_ = timeout_ms;
-  connection_.reset();
+void HttpClient::start(const std::string& target,
+                       const HttpHeaders& extra_headers) {
+  if (in_flight_) close();
+  reader_ = ResponseReader{};
+  if (!stream_.valid()) {
+    stream_ = TcpStream::connect(host_, port_);
+    stream_.set_no_delay(true);
+  }
+  unsent_ = "GET " + target + " HTTP/1.1\r\nHost: " + host_ + "\r\n";
+  for (const auto& [key, value] : extra_headers.entries) {
+    unsent_ += key + ": " + value + "\r\n";
+  }
+  unsent_ += "\r\n";
+  in_flight_ = true;
+  keep_alive_ = true;
+  deadline_ = Clock::now() + timeout_;
+  ready_ = POLLOUT;  // a fresh request goes out without a wait
+  advance();
 }
 
-void HttpClient::ensure_connected_locked() {
-  if (connection_.has_value()) return;
-  TcpStream stream = TcpStream::connect(host_, port_);
-  stream.set_no_delay(true);
-  stream.set_timeout_ms(timeout_ms_);
-  connection_.emplace(std::move(stream));
+void HttpClient::send_some() {
+  const ssize_t n = ::send(stream_.fd(), unsent_.data(), unsent_.size(),
+                           MSG_NOSIGNAL | MSG_DONTWAIT);
+  if (n > 0) {
+    unsent_.erase(0, static_cast<std::size_t>(n));
+    deadline_ = Clock::now() + timeout_;
+  } else if (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK &&
+             errno != EINTR) {
+    throw std::system_error(errno, std::generic_category(), "send");
+  }
 }
 
-void HttpClient::abort() {
-  const util::MutexLock lock(mutex_);
-  if (connection_.has_value()) connection_->stream().shutdown_both();
+bool HttpClient::receive(const ProgressCallback& progress) {
+  const std::size_t before = reader_.body_bytes();
+  ssize_t n = 0;
+  if (reader_.head_done()) {
+    // Body bytes land in place, never past the body's end.
+    n = ::recv(stream_.fd(), reader_.body_tail(), reader_.body_missing(),
+               MSG_DONTWAIT);
+    if (n > 0) reader_.landed(static_cast<std::size_t>(n));
+  } else {
+    char chunk[8192];
+    n = ::recv(stream_.fd(), chunk, sizeof(chunk), MSG_DONTWAIT);
+    // Bytes past the response mean the peer is out of step with us: the
+    // connection closes after this response.
+    const auto got = static_cast<std::size_t>(std::max<ssize_t>(n, 0));
+    if (reader_.feed({chunk, got}) < got) keep_alive_ = false;
+  }
+  if (n == 0) {
+    throw std::invalid_argument(reader_.head_done()
+                                    ? "HTTP: connection closed mid-body"
+                                    : "HTTP: connection closed mid-headers");
+  }
+  if (n < 0) {
+    if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) {
+      return false;
+    }
+    throw std::system_error(errno, std::generic_category(), "recv");
+  }
+  deadline_ = Clock::now() + timeout_;
+  if (progress && reader_.body_bytes() > before) {
+    progress(reader_.body_bytes(), reader_.done());
+  }
+  return reader_.done();
+}
+
+std::optional<HttpResponse> HttpClient::advance(
+    const ProgressCallback& progress) {
+  if (!in_flight_) return std::nullopt;
+  try {
+    if (std::exchange(ready_, 0) != 0) {
+      if (!unsent_.empty()) {
+        send_some();
+      } else if (receive(progress)) {
+        in_flight_ = false;
+        HttpResponse response = std::move(reader_.response());
+        const std::string* connection = response.headers.find("Connection");
+        if (!keep_alive_ ||
+            (connection != nullptr && util::iequals(*connection, "close"))) {
+          close();
+        }
+        return response;
+      }
+    }
+    if (Clock::now() >= deadline_) {
+      throw std::system_error(std::make_error_code(std::errc::timed_out),
+                              "HTTP: no byte moved within the timeout");
+    }
+    return std::nullopt;
+  } catch (...) {
+    close();
+    throw;
+  }
+}
+
+void HttpClient::close() {
+  stream_.close();
+  in_flight_ = false;
+}
+
+void HttpClient::poll(std::initializer_list<HttpClient*> clients,
+                      Clock::time_point until) {
+  constexpr std::size_t kMaxClients = 4;
+  assert(clients.size() <= kMaxClients);
+  pollfd fds[kMaxClients];
+  HttpClient* polled[kMaxClients];
+  nfds_t count = 0;
+  for (HttpClient* client : clients) {
+    if (!client->in_flight_) continue;
+    const short events = client->unsent_.empty() ? POLLIN : POLLOUT;
+    fds[count] = {client->stream_.fd(), events, 0};
+    polled[count++] = client;
+    until = std::min(until, client->deadline_);
+  }
+  const auto wait =
+      std::chrono::ceil<std::chrono::milliseconds>(until - Clock::now());
+  const int timeout_ms = static_cast<int>(
+      std::clamp<std::chrono::milliseconds::rep>(wait.count(), 0, INT_MAX));
+  const int ready = ::poll(fds, count, timeout_ms);
+  if (ready < 0 && errno != EINTR) {
+    throw std::system_error(errno, std::generic_category(), "poll");
+  }
+  for (nfds_t i = 0; i < count; ++i) {
+    polled[i]->ready_ = ready > 0 ? fds[i].revents : 0;
+  }
 }
 
 HttpResponse HttpClient::request(const std::string& target,
@@ -292,35 +336,12 @@ HttpResponse HttpClient::request(const std::string& target,
 HttpResponse HttpClient::request(const std::string& target,
                                  const HttpHeaders& extra_headers,
                                  const ProgressCallback& progress) {
-  HttpRequest http_request;
-  http_request.method = "GET";
-  http_request.target = target;
-  http_request.headers = extra_headers;
-
-  // The connection object is created/destroyed under the mutex but the I/O
-  // itself runs unlocked, so abort() can shut the socket down (failing the
-  // blocked read) without deadlocking on this request. Only the catch block
-  // below destroys the object, so the pointer stays valid throughout.
-  HttpConnection* connection = nullptr;
-  {
-    const util::MutexLock lock(mutex_);
-    ensure_connected_locked();
-    connection = &*connection_;
-  }
-  try {
-    connection->write_request(http_request, host_);
-    HttpResponse response = connection->read_response(progress);
-    const std::string* connection_header = response.headers.find("Connection");
-    if (connection_header != nullptr &&
-        util::iequals(*connection_header, "close")) {
-      const util::MutexLock reset_lock(mutex_);
-      connection_.reset();
+  start(target, extra_headers);
+  while (true) {
+    poll({this});
+    if (std::optional<HttpResponse> response = advance(progress)) {
+      return std::move(*response);
     }
-    return response;
-  } catch (...) {
-    const util::MutexLock reset_lock(mutex_);
-    connection_.reset();
-    throw;
   }
 }
 

@@ -1,14 +1,15 @@
 #pragma once
 
+#include <chrono>
 #include <cstdint>
 #include <functional>
+#include <initializer_list>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "net/socket.hpp"
-#include "util/mutex.hpp"
-#include "util/thread_annotations.hpp"
 
 namespace abr::net {
 
@@ -36,9 +37,9 @@ struct HttpResponse {
 };
 
 /// Called as response body bytes arrive: (bytes_so_far, done). It runs once
-/// for body bytes that came with the header block and once per socket read
-/// after that; bytes_so_far is exact, so a caller can credit the landed
-/// prefix of a body that is cut short.
+/// per socket read that lands body bytes, the read that completes the
+/// header block included; bytes_so_far is exact, so a caller can credit the
+/// landed prefix of a body that is cut short.
 using ProgressCallback = std::function<void(std::size_t, bool)>;
 
 /// One inclusive byte range resolved against a known body size.
@@ -68,74 +69,74 @@ RangeParse parse_range_header(std::string_view value, std::size_t size,
 
 /// Serializes a response head: the status line, `headers` in order, a
 /// Content-Length of `body_size` unless `headers` already carries one, and
-/// the blank line. HttpConnection::write_response and the servers' planned
-/// responses all go through it.
+/// the blank line. The servers' planned responses all go through it.
 std::string serialize_response_head(int status, std::string_view reason,
                                     const HttpHeaders& headers,
                                     std::size_t body_size);
 
-/// One HTTP/1.1 connection with persistent (keep-alive) semantics over a
-/// TcpStream. Handles request/response framing with Content-Length bodies —
-/// the subset a DASH origin needs. Malformed peers raise
-/// std::invalid_argument; transport failures raise std::system_error.
-///
-/// This is a from-scratch implementation (no third-party HTTP stack): the
-/// paper's emulation testbed (Section 7.2) is a plain node.js static server
-/// plus a browser player. The players' HttpClient runs on this class; the
-/// origin's nonblocking EpollServer parses with the same limits.
-class HttpConnection {
+/// Framing limits (guards against hostile peers), shared by the client's
+/// ResponseReader and the origin's request parser. A request line longer
+/// than kMaxRequestLineBytes is rejected even when the whole header block
+/// fits under kMaxHeaderBytes.
+inline constexpr std::size_t kMaxRequestLineBytes = 8 * 1024;
+inline constexpr std::size_t kMaxHeaderBytes = 64 * 1024;
+inline constexpr std::size_t kMaxBodyBytes = 256 * 1024 * 1024;
+
+/// The first line of a header block, without its line ending.
+std::string_view first_line_of(std::string_view block);
+
+/// A message's Content-Length, 0 when absent. Throws std::invalid_argument
+/// when it is malformed or above kMaxBodyBytes.
+std::size_t content_length_of(const HttpHeaders& headers);
+
+/// Incremental reader of one HTTP/1.1 response framed by Content-Length
+/// (the subset a DASH origin speaks). Bytes may arrive split anywhere:
+/// every split gives the same response, or the same std::invalid_argument
+/// on malformed framing.
+class ResponseReader {
  public:
-  explicit HttpConnection(TcpStream stream);
+  /// Takes the prefix of `bytes` that belongs to this response and returns
+  /// its length: never a byte past the end of the body.
+  std::size_t feed(std::string_view bytes);
 
-  /// Server side: reads the next request. Returns nullopt on clean EOF
-  /// between requests (client closed keep-alive).
-  std::optional<HttpRequest> read_request();
+  /// Once the header block is parsed the body can be read in place:
+  /// body_tail() is its unfilled part, body_missing() bytes long, and
+  /// landed(n) accounts for n bytes written there.
+  bool head_done() const { return head_done_; }
+  char* body_tail() { return response_.body.data() + body_bytes_; }
+  std::size_t body_missing() const {
+    return response_.body.size() - body_bytes_;
+  }
+  void landed(std::size_t n) { body_bytes_ += n; }
 
-  /// Server side: writes a response, adding Content-Length.
-  void write_response(const HttpResponse& response);
-
-  /// Client side: writes a request, adding Host and Content-Length.
-  void write_request(const HttpRequest& request, const std::string& host);
-
-  /// Client side: reads a response; invokes `progress` as body bytes land.
-  HttpResponse read_response(const ProgressCallback& progress = nullptr);
-
-  TcpStream& stream() { return stream_; }
-
-  /// Limits (guard against hostile peers). A request line longer than
-  /// kMaxRequestLineBytes is rejected even when the whole header block fits
-  /// under kMaxHeaderBytes.
-  static constexpr std::size_t kMaxRequestLineBytes = 8 * 1024;
-  static constexpr std::size_t kMaxHeaderBytes = 64 * 1024;
-  static constexpr std::size_t kMaxBodyBytes = 256 * 1024 * 1024;
+  std::size_t body_bytes() const { return body_bytes_; }
+  bool done() const { return head_done_ && body_missing() == 0; }
+  HttpResponse& response() { return response_; }
 
  private:
-  /// Reads until a blank line; returns the header block (without the final
-  /// CRLFCRLF). Returns nullopt on immediate EOF.
-  std::optional<std::string> read_header_block();
-  std::string read_exact(std::size_t size, const ProgressCallback& progress);
-
-  TcpStream stream_;
-  std::string buffer_;  ///< bytes read past the last parsed message
+  std::string head_;  ///< bytes before the blank line, capped
+  bool head_done_ = false;
+  std::size_t body_bytes_ = 0;
+  HttpResponse response_;
 };
 
-/// Minimal HTTP GET client with a persistent connection; reconnects
-/// transparently after a server-side close.
+/// Minimal HTTP/1.1 GET client over one persistent (keep-alive)
+/// connection, reconnecting after the server closes it.
 ///
-/// One thread issues requests at a time; abort() is the only member safe to
-/// call concurrently with an in-flight request (hedged fetches use it to
-/// cancel the losing leg).
+/// It keeps time on the calling thread: every GET runs on a poll() loop.
+/// request() is the loop with one client; a caller that races clients or
+/// runs timers of its own (HttpChunkSource's hedged race and abort
+/// checkpoints) drives start()/advance() from its own loop with
+/// HttpClient::poll(). One thread uses a client at a time.
 class HttpClient {
  public:
-  /// `timeout_ms` is the socket-level deadline (SO_RCVTIMEO/SO_SNDTIMEO)
-  /// applied to every connection: a peer that accepts and then never
-  /// responds makes the blocked read fail with std::system_error
-  /// (EAGAIN/EWOULDBLOCK) after this long instead of hanging forever.
-  HttpClient(std::string host, std::uint16_t port, int timeout_ms = 120000);
+  using Clock = std::chrono::steady_clock;
 
-  /// Applies to connections established after the call (the current
-  /// connection, if any, is dropped so the next request reconnects).
-  void set_timeout_ms(int timeout_ms) ABR_EXCLUDES(mutex_);
+  /// `timeout_ms` is the per-read deadline: a GET whose connection moves no
+  /// byte for this long fails with std::system_error (std::errc::timed_out),
+  /// so a peer that accepts and then never responds cannot hang the caller.
+  /// It bounds each wait, not the whole transfer.
+  HttpClient(std::string host, std::uint16_t port, int timeout_ms = 120000);
 
   /// GETs `target`; throws std::runtime_error on non-2xx. Retries once on a
   /// transport error (persistent connection closed under us).
@@ -147,30 +148,55 @@ class HttpClient {
   /// attempt to be visible). On any thrown error the connection is dropped,
   /// so the next call reconnects.
   HttpResponse request(const std::string& target,
-                       const ProgressCallback& progress = nullptr)
-      ABR_EXCLUDES(mutex_);
+                       const ProgressCallback& progress = nullptr);
 
   /// As above, with caller-supplied request headers (range resumes send
   /// "Range: bytes=N-" this way).
   HttpResponse request(const std::string& target,
                        const HttpHeaders& extra_headers,
-                       const ProgressCallback& progress = nullptr)
-      ABR_EXCLUDES(mutex_);
+                       const ProgressCallback& progress = nullptr);
 
-  /// Interrupts an in-flight request from another thread: shuts down the
-  /// current connection, so the blocked read/write fails with an error the
-  /// requesting thread surfaces as a transport failure. Safe to call at any
-  /// time; a no-op when idle.
-  void abort() ABR_EXCLUDES(mutex_);
+  /// Begins a GET without waiting for it: connects when no connection is
+  /// open (throwing std::system_error when that fails) and sends what the
+  /// socket takes of the request. A GET still in flight is abandoned first.
+  void start(const std::string& target, const HttpHeaders& extra_headers = {});
+
+  /// Moves the GET in flight as far as the last poll() wait allows,
+  /// without blocking; `progress` sees every read that lands body bytes.
+  /// Returns the response once it is complete. On a failure it closes the
+  /// connection and throws: std::system_error on a transport error, or
+  /// std::errc::timed_out once the connection has moved no byte for
+  /// timeout_ms; std::invalid_argument on bad framing or an early EOF.
+  std::optional<HttpResponse> advance(
+      const ProgressCallback& progress = nullptr);
+
+  /// Body bytes of the latest GET landed so far (kept after a failure).
+  std::size_t body_bytes() const { return reader_.body_bytes(); }
+
+  /// Abandons the GET in flight, if any, and closes the connection.
+  void close();
+
+  /// One wait of a client poll loop: blocks in poll() until a GET in flight
+  /// on one of `clients` (at most four) can move, the earliest of their
+  /// per-read deadlines passes, or `until` does. Clients without a GET in
+  /// flight are skipped. Follow it with advance() on each client in flight.
+  static void poll(std::initializer_list<HttpClient*> clients,
+                   Clock::time_point until = Clock::time_point::max());
 
  private:
-  void ensure_connected_locked() ABR_REQUIRES(mutex_);
+  void send_some();
+  bool receive(const ProgressCallback& progress);
 
   std::string host_;
   std::uint16_t port_;
-  int timeout_ms_ ABR_GUARDED_BY(mutex_);
-  util::Mutex mutex_;  ///< guards connection_ creation/teardown (not I/O)
-  std::optional<HttpConnection> connection_ ABR_GUARDED_BY(mutex_);
+  Clock::duration timeout_;
+  TcpStream stream_;            ///< invalid while disconnected
+  bool in_flight_ = false;      ///< a GET is started and not ended
+  bool keep_alive_ = true;      ///< false once the peer sent stray bytes
+  std::string unsent_;          ///< request bytes the socket has not taken
+  ResponseReader reader_;       ///< the latest GET's response
+  Clock::time_point deadline_;  ///< per-read deadline of the GET in flight
+  short ready_ = 0;             ///< revents of the last poll()
 };
 
 /// Parses "GET /path HTTP/1.1" style request lines and status lines;
@@ -181,7 +207,7 @@ bool parse_status_line(std::string_view line, HttpResponse& out);
 /// Parses "Name: value" header lines from a block (CRLF or LF separated),
 /// skipping the first `skip_lines` lines (the request/status line). Throws
 /// std::invalid_argument on a malformed line. Exposed for tests and the
-/// fuzz harnesses; HttpConnection uses it on every received block.
+/// fuzz harnesses; both ends of the wire use it on every received block.
 HttpHeaders parse_header_block(std::string_view block, std::size_t skip_lines);
 
 }  // namespace abr::net

@@ -150,7 +150,8 @@ TcpStream TcpListener::accept() {
   while (true) {
     const int client = ::accept(fd_.get(), nullptr, nullptr);
     if (client >= 0) return TcpStream(FileDescriptor(client));
-    if (errno == EINTR) continue;
+    if (errno == EINTR || errno == ECONNABORTED) continue;
+    if (errno == EMFILE || errno == ENFILE) return TcpStream();
     throw_errno("accept");
   }
 }

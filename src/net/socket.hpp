@@ -53,7 +53,8 @@ class TcpStream {
   void write_all(const char* data, std::size_t size);
   void write_all(std::string_view text) { write_all(text.data(), text.size()); }
 
-  /// Sets SO_RCVTIMEO/SO_SNDTIMEO so a stuck peer cannot hang the player.
+  /// Sets SO_RCVTIMEO/SO_SNDTIMEO so a stuck peer cannot hang a blocking
+  /// read or write.
   void set_timeout_ms(int milliseconds);
 
   /// Sets O_NONBLOCK: read()/write return what the kernel has instead of
@@ -91,8 +92,12 @@ class TcpListener {
   /// The actual bound port.
   std::uint16_t port() const { return port_; }
 
-  /// Blocks for the next connection. Throws std::system_error if the
-  /// listener was closed (the orderly shutdown path).
+  /// Blocks for the next connection. Out of descriptors (EMFILE, ENFILE)
+  /// it returns an invalid stream instead of throwing, so a caller can back
+  /// off and retry; an interrupted call or a connection aborted in the
+  /// backlog (EINTR, ECONNABORTED) is retried here. Throws
+  /// std::system_error if the listener was closed (the orderly shutdown
+  /// path) or on any other failure.
   TcpStream accept();
 
   /// Unblocks any accept() in progress.

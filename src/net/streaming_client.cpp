@@ -1,7 +1,5 @@
 #include "net/streaming_client.hpp"
 
-#include <atomic>
-#include <cerrno>
 #include <cmath>
 #include <stdexcept>
 #include <system_error>
@@ -12,18 +10,22 @@
 #include "net/faults.hpp"
 #include "obs/names.hpp"
 #include "obs/span.hpp"
-#include "util/mutex.hpp"
 #include "util/strings.hpp"
 
 namespace abr::net {
 
 namespace {
 
+using Clock = HttpClient::Clock;
+
 bool is_timeout(const std::system_error& error) {
-  const std::error_code& code = error.code();
-  return code == std::errc::resource_unavailable_try_again ||
-         code == std::errc::operation_would_block ||
-         code == std::errc::timed_out;
+  return error.code() == std::errc::timed_out;
+}
+
+/// Wall-clock length of `session_s` session seconds.
+Clock::duration wall(double session_s, double speedup) {
+  return std::chrono::duration_cast<Clock::duration>(
+      std::chrono::duration<double>(session_s / speedup));
 }
 
 std::string segment_target(std::size_t chunk, std::size_t level) {
@@ -41,29 +43,105 @@ bool parse_content_range_start(const std::string& value, std::size_t& first) {
   return util::parse_size(util::trim(v.substr(0, dash)), first);
 }
 
+/// One GET attempt on the client's poll loop. A transport or framing
+/// failure or a passed per-read deadline ends it without a response (a
+/// deadline also counts in abr_fetch_timeouts_total); the caller judges the
+/// response it gets. A leg still running when it goes out of scope (a lost
+/// race, or an exception out of the caller's loop) closes its connection.
+class Leg {
+ public:
+  explicit Leg(HttpClient& client) : client_(&client) {}
+  ~Leg() { cancel(); }
+  Leg(const Leg&) = delete;
+  Leg& operator=(const Leg&) = delete;
+
+  /// Counts the request and begins the GET.
+  void start(const std::string& target, const HttpHeaders& headers = {}) {
+    started_ = true;
+    registry_.counter(obs::kHttpRequestsTotal, "side=\"client\"").increment();
+    guard([&] {
+      client_->start(target, headers);
+      running_ = true;
+    });
+  }
+
+  bool started() const { return started_; }
+  bool running() const { return running_; }
+  HttpClient* client() const { return client_; }
+  const std::optional<HttpResponse>& response() const { return response_; }
+
+  /// Moves the GET after an HttpClient::poll() wait.
+  void step() {
+    guard([&] {
+      response_ = client_->advance();
+      running_ = !response_.has_value();
+    });
+  }
+
+  /// Closes the connection of a GET that still runs (a lost race or a
+  /// self-inflicted abort); a no-op once the GET has ended.
+  void cancel() {
+    if (running_) client_->close();
+    running_ = false;
+  }
+
+ private:
+  template <typename Body>
+  void guard(const Body& body) {
+    try {
+      body();
+    } catch (const std::system_error& error) {
+      running_ = false;
+      if (is_timeout(error)) {
+        registry_.counter(obs::kFetchTimeoutsTotal).increment();
+      }
+    } catch (const std::invalid_argument&) {
+      running_ = false;  // truncated, reset or malformed response
+    }
+  }
+
+  HttpClient* client_;
+  obs::MetricsRegistry& registry_ = obs::MetricsRegistry::global();
+  bool started_ = false;
+  bool running_ = false;
+  std::optional<HttpResponse> response_;
+};
+
+/// Judges an ended plain GET: a 2xx delivers its body (in kilobits); a 5xx
+/// or a failure is retryable (nullopt); a 3xx/4xx means client and origin
+/// disagree about the video, a configuration bug rather than a transient
+/// fault, and throws.
+std::optional<double> delivered_kilobits(const std::string& target,
+                                         const Leg& leg) {
+  const std::optional<HttpResponse>& response = leg.response();
+  if (!response.has_value() || response->status >= 500) return std::nullopt;
+  if (response->status < 200 || response->status >= 300) {
+    throw std::runtime_error("HTTP GET " + target + " -> " +
+                             std::to_string(response->status));
+  }
+  return static_cast<double>(response->body.size()) * 8.0 / 1000.0;
+}
+
 /// One sub-chunk GET attempt under the abort monitor.
 struct ControlledAttempt {
-  enum class Status { kComplete, kAborted, kFailed };
-  Status status = Status::kFailed;
+  AttemptEnd end = AttemptEnd::kFailed;
   std::size_t have_bytes = 0;      ///< valid prefix after this attempt
   std::size_t received_bytes = 0;  ///< bytes that landed during it
   bool resumed = false;            ///< a Range request was issued
 };
 
-/// GETs `target` with a range resume from `have_bytes` and a wall-clock
-/// watchdog translating the FetchControl deadline projection into real time
-/// (session seconds = wall seconds * speedup). The watchdog cancels the
-/// request via HttpClient::abort() — the caller must treat that outcome as
-/// self-inflicted (no breaker report, no failure count).
+/// GETs `target` with a range resume from `have_bytes`. The abort monitor
+/// is a timer on the same poll loop: every check_interval_s of session time
+/// (wall seconds * speedup) it asks the FetchControl stall projection, and
+/// closes the connection itself when the projection says stall. The caller
+/// must treat that outcome as self-inflicted (no breaker report, no failure
+/// count).
 ControlledAttempt controlled_attempt(HttpClient& client,
                                      const std::string& target,
                                      std::size_t have_bytes,
                                      std::size_t total_bytes,
                                      const sim::FetchControl& control,
                                      double speedup) {
-  obs::MetricsRegistry& registry = obs::MetricsRegistry::global();
-  registry.counter(obs::kHttpRequestsTotal, "side=\"client\"").increment();
-
   ControlledAttempt result;
   result.have_bytes = have_bytes;
 
@@ -71,109 +149,77 @@ ControlledAttempt controlled_attempt(HttpClient& client,
   if (have_bytes > 0) {
     headers.set("Range", "bytes=" + std::to_string(have_bytes) + "-");
     result.resumed = true;
+    obs::MetricsRegistry& registry = obs::MetricsRegistry::global();
     registry.counter(obs::kHttpRangeRequestsTotal, "side=\"client\"")
         .increment();
   }
 
-  std::atomic<std::size_t> received{0};
-  std::atomic<bool> done{false};
-  std::atomic<bool> self_abort{false};
-
-  std::thread watchdog;
-  if (control.abort_enabled && control.check_interval_s > 0.0) {
-    watchdog = std::thread([&] {
-      const auto start = std::chrono::steady_clock::now();
-      const auto interval =
-          std::chrono::duration<double>(control.check_interval_s / speedup);
-      const auto goal_bytes = static_cast<double>(total_bytes - have_bytes);
-      while (!done.load()) {
-        std::this_thread::sleep_for(interval);
-        if (done.load()) break;
-        const double elapsed_s =
-            std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                          start)
-                .count() *
-            speedup;
-        if (elapsed_s < control.min_observation_s) continue;
-        const auto done_bytes = static_cast<double>(received.load());
-        const double rate = done_bytes / elapsed_s;  // bytes per session-s
-        const double remaining = goal_bytes - done_bytes;
-        const double cushion =
-            std::max(0.0, control.buffer_s - elapsed_s);
-        if (rate <= 0.0 || remaining / rate > cushion + control.max_stall_s) {
-          self_abort.store(true);
-          client.abort();
-          break;
-        }
-      }
-    });
+  const bool monitored =
+      control.abort_enabled && control.check_interval_s > 0.0;
+  const Clock::time_point start = Clock::now();
+  const Clock::duration interval = wall(control.check_interval_s, speedup);
+  Clock::time_point check_at =
+      monitored ? start + interval : Clock::time_point::max();
+  const auto goal_bytes = static_cast<double>(total_bytes - have_bytes);
+  Leg leg(client);
+  leg.start(target, headers);
+  while (leg.running()) {
+    HttpClient::poll({&client}, check_at);
+    leg.step();
+    const Clock::time_point now = Clock::now();
+    if (!leg.running() || now < check_at) continue;
+    const double elapsed_s =
+        std::chrono::duration<double>(now - start).count() * speedup;
+    if (control.stall_projected(elapsed_s,
+                                static_cast<double>(client.body_bytes()),
+                                goal_bytes)) {
+      leg.cancel();
+      result.end = AttemptEnd::kAborted;
+    }
+    check_at = now + interval;
   }
-  const auto finish_watchdog = [&] {
-    done.store(true);
-    if (watchdog.joinable()) watchdog.join();
-  };
 
-  try {
-    const HttpResponse response = client.request(
-        target, headers,
-        [&received](std::size_t bytes_so_far, bool) {
-          received.store(bytes_so_far);
-        });
-    finish_watchdog();
-    if (response.status == 206) {
-      std::size_t first = 0;
-      const std::string* content_range =
-          response.headers.find("Content-Range");
-      if (content_range != nullptr &&
-          parse_content_range_start(*content_range, first) &&
-          first == have_bytes) {
-        result.received_bytes = response.body.size();
-        result.have_bytes =
-            std::min(have_bytes + response.body.size(), total_bytes);
-        if (result.have_bytes >= total_bytes) {
-          result.status = ControlledAttempt::Status::kComplete;
-        }
-      }
-      // A 206 from the wrong offset is discarded: credit unchanged, the
-      // attempt reads as failed and the retry loop reissues the range.
-    } else if (response.status == 200) {
-      // Origin ignored (or never saw) the range: the full body replaces
-      // whatever prefix we held.
-      result.received_bytes = response.body.size();
-      result.have_bytes = std::min(response.body.size(), total_bytes);
+  const std::optional<HttpResponse>& response = leg.response();
+  if (!response.has_value()) {
+    // Aborted, truncated, reset or timed out: the landed prefix stays valid
+    // under range resume.
+    result.received_bytes = client.body_bytes();
+    result.have_bytes =
+        std::min(have_bytes + result.received_bytes, total_bytes);
+    return result;
+  }
+  if (response->status == 206) {
+    std::size_t first = 0;
+    const std::string* content_range = response->headers.find("Content-Range");
+    if (content_range != nullptr &&
+        parse_content_range_start(*content_range, first) &&
+        first == have_bytes) {
+      result.received_bytes = response->body.size();
+      result.have_bytes =
+          std::min(have_bytes + response->body.size(), total_bytes);
       if (result.have_bytes >= total_bytes) {
-        result.status = ControlledAttempt::Status::kComplete;
+        result.end = AttemptEnd::kDelivered;
       }
-    } else if (response.status == 416 && have_bytes >= total_bytes) {
-      // Resume offset == body length: the origin is telling us we already
-      // hold the whole chunk.
-      result.status = ControlledAttempt::Status::kComplete;
-    } else if (response.status >= 300 && response.status < 500) {
-      throw std::runtime_error("HTTP GET " + target + " -> " +
-                               std::to_string(response.status));
     }
-    // Other statuses (5xx, unexpected 416): retryable failure.
-  } catch (const std::system_error& error) {
-    finish_watchdog();
-    const std::size_t landed = received.load();
-    result.received_bytes = landed;
-    result.have_bytes = std::min(have_bytes + landed, total_bytes);
-    if (self_abort.load()) {
-      result.status = ControlledAttempt::Status::kAborted;
-    } else if (is_timeout(error)) {
-      registry.counter(obs::kFetchTimeoutsTotal).increment();
+    // A 206 from the wrong offset is discarded: credit unchanged, the
+    // attempt reads as failed and the retry loop reissues the range.
+  } else if (response->status == 200) {
+    // Origin ignored (or never saw) the range: the full body replaces
+    // whatever prefix we held.
+    result.received_bytes = response->body.size();
+    result.have_bytes = std::min(response->body.size(), total_bytes);
+    if (result.have_bytes >= total_bytes) {
+      result.end = AttemptEnd::kDelivered;
     }
-  } catch (const std::invalid_argument&) {
-    // Truncated mid-body (or the watchdog's shutdown surfaced as framing):
-    // the landed prefix stays valid under range resume.
-    finish_watchdog();
-    const std::size_t landed = received.load();
-    result.received_bytes = landed;
-    result.have_bytes = std::min(have_bytes + landed, total_bytes);
-    if (self_abort.load()) {
-      result.status = ControlledAttempt::Status::kAborted;
-    }
+  } else if (response->status == 416 && have_bytes >= total_bytes) {
+    // Resume offset == body length: the origin is telling us we already
+    // hold the whole chunk.
+    result.end = AttemptEnd::kDelivered;
+  } else if (response->status >= 300 && response->status < 500) {
+    throw std::runtime_error("HTTP GET " + target + " -> " +
+                             std::to_string(response->status));
   }
+  // Other statuses (5xx, unexpected 416): retryable failure.
   return result;
 }
 
@@ -224,28 +270,13 @@ double HttpChunkSource::now() const {
 
 std::optional<double> HttpChunkSource::attempt(std::size_t origin,
                                                const std::string& target) {
-  obs::MetricsRegistry& registry = obs::MetricsRegistry::global();
-  registry.counter(obs::kHttpRequestsTotal, "side=\"client\"").increment();
-  try {
-    const HttpResponse response = clients_[origin]->request(target);
-    if (response.status >= 200 && response.status < 300) {
-      return static_cast<double>(response.body.size()) * 8.0 / 1000.0;
-    }
-    if (response.status < 500) {
-      // 3xx/4xx means client and origin disagree about the video — a
-      // configuration bug, not a transient transport fault.
-      throw std::runtime_error("HTTP GET " + target + " -> " +
-                               std::to_string(response.status));
-    }
-    // 5xx: transient server failure; retryable.
-  } catch (const std::system_error& error) {
-    if (is_timeout(error)) {
-      registry.counter(obs::kFetchTimeoutsTotal).increment();
-    }
-  } catch (const std::invalid_argument&) {
-    // Truncated/reset/malformed response; the connection was dropped.
+  Leg leg(*clients_[origin]);
+  leg.start(target);
+  while (leg.running()) {
+    HttpClient::poll({leg.client()});
+    leg.step();
   }
-  return std::nullopt;
+  return delivered_kilobits(target, leg);
 }
 
 sim::FetchOutcome HttpChunkSource::fetch(std::size_t chunk,
@@ -267,8 +298,18 @@ sim::FetchOutcome HttpChunkSource::fetch(std::size_t chunk,
     // No eligible second origin, or both legs failed: the standard retry
     // loop finishes the job with whatever attempt budget remains.
   }
-  sim::FetchOutcome outcome =
-      fetch_with_retries(target, start_session_s, burned);
+  sim::FetchOutcome outcome;
+  outcome.attempts = burned;
+  const AttemptEnd end =
+      run_attempts(outcome.attempts, [&](std::size_t origin) {
+        const std::optional<double> kilobits = attempt(origin, target);
+        outcome.kilobits = kilobits.value_or(0.0);
+        return kilobits.has_value() ? AttemptEnd::kDelivered
+                                    : AttemptEnd::kFailed;
+      });
+  outcome.failed = end != AttemptEnd::kDelivered;
+  outcome.origin = current_origin_;
+  outcome.duration_s = std::max(now() - start_session_s, 1e-6);
   latency.stop();
   return outcome;
 }
@@ -278,10 +319,6 @@ sim::FetchOutcome HttpChunkSource::fetch_controlled(
   const std::string target = segment_target(chunk, level);
   obs::MetricsRegistry& registry = obs::MetricsRegistry::global();
   obs::LatencyTimer latency(&registry.histogram(obs::kHttpFetchLatencyUs));
-  obs::Counter& retries_total = registry.counter(obs::kFetchRetriesTotal);
-  obs::Counter& failures_total =
-      registry.counter(obs::kFetchAttemptFailuresTotal);
-  obs::Counter& failovers_total = registry.counter(obs::kOriginFailoversTotal);
 
   const double total_kb = manifest_->chunk_kilobits(chunk, level);
   const auto total_bytes = static_cast<std::size_t>(total_kb * 1000.0 / 8.0);
@@ -295,126 +332,68 @@ sim::FetchOutcome HttpChunkSource::fetch_controlled(
   const double start_session_s = now();
   sim::FetchOutcome outcome;
   outcome.attempts = 0;
-  outcome.origin = current_origin_;
-
-  const auto finish = [&](bool failed, bool aborted) {
-    outcome.failed = failed;
-    outcome.aborted = aborted;
-    outcome.kilobits = static_cast<double>(transferred_bytes) * 8.0 / 1000.0;
-    outcome.delivered_kilobits =
-        static_cast<double>(have_bytes) * 8.0 / 1000.0;
-    outcome.duration_s = std::max(now() - start_session_s, 1e-6);
-    outcome.origin = current_origin_;
-    latency.stop();
-    return outcome;
-  };
-
-  // Hedging is deliberately bypassed in controlled mode: an aborted hedge
-  // leg is indistinguishable from a lost race, and the deadline monitor
-  // already bounds tail latency.
-  const std::size_t budget = retry_.max_attempts * clients_.size();
-  std::size_t consecutive_failures = 0;
-  while (outcome.attempts < budget) {
-    if (have_bytes >= total_bytes) return finish(false, false);
-    ++outcome.attempts;
-    const std::optional<std::size_t> origin = pool_.acquire(current_origin_);
-    if (!origin.has_value()) {
-      failures_total.increment();
-    } else {
-      if (*origin != current_origin_) {
-        ++failovers_;
-        failovers_total.increment();
-        current_origin_ = *origin;
-      }
-      const ControlledAttempt result = controlled_attempt(
-          *clients_[*origin], target, have_bytes, total_bytes, control,
-          speedup_);
+  // Hedging is deliberately bypassed in controlled mode: the deadline
+  // monitor already bounds tail latency. A resume credit that covers the
+  // chunk needs no attempt at all.
+  AttemptEnd end = AttemptEnd::kDelivered;
+  if (have_bytes < total_bytes) {
+    end = run_attempts(outcome.attempts, [&](std::size_t origin) {
+      const ControlledAttempt result =
+          controlled_attempt(*clients_[origin], target, have_bytes,
+                             total_bytes, control, speedup_);
       have_bytes = result.have_bytes;
       transferred_bytes += result.received_bytes;
       if (result.resumed) ++outcome.resumes;
-      switch (result.status) {
-        case ControlledAttempt::Status::kComplete:
-          pool_.report_success(*origin);
-          return finish(false, false);
-        case ControlledAttempt::Status::kAborted:
-          // Self-inflicted: the breaker must not open on it and it is not
-          // an attempt failure.
-          return finish(false, true);
-        case ControlledAttempt::Status::kFailed:
-          pool_.report_failure(*origin);
-          failures_total.increment();
-          break;
-      }
-    }
-    ++consecutive_failures;
-    if (outcome.attempts < budget) {
-      retries_total.increment();
-      const double backoff_s =
-          retry_.backoff_s(consecutive_failures, jitter_rng_);
-      std::this_thread::sleep_for(
-          std::chrono::duration<double>(backoff_s / speedup_));
-    }
+      return result.end;
+    });
   }
-  return finish(/*failed=*/have_bytes < total_bytes, false);
+  outcome.failed = end == AttemptEnd::kFailed && have_bytes < total_bytes;
+  outcome.aborted = end == AttemptEnd::kAborted;
+  outcome.kilobits = static_cast<double>(transferred_bytes) * 8.0 / 1000.0;
+  outcome.delivered_kilobits = static_cast<double>(have_bytes) * 8.0 / 1000.0;
+  outcome.duration_s = std::max(now() - start_session_s, 1e-6);
+  outcome.origin = current_origin_;
+  latency.stop();
+  return outcome;
 }
 
-sim::FetchOutcome HttpChunkSource::fetch_with_retries(
-    const std::string& target, double start_session_s,
-    std::size_t burned_attempts) {
+AttemptEnd HttpChunkSource::run_attempts(
+    std::size_t& attempts,
+    const std::function<AttemptEnd(std::size_t)>& attempt) {
   obs::MetricsRegistry& registry = obs::MetricsRegistry::global();
-  obs::Counter& retries_total = registry.counter(obs::kFetchRetriesTotal);
-  obs::Counter& failures_total =
-      registry.counter(obs::kFetchAttemptFailuresTotal);
-  obs::Counter& failovers_total = registry.counter(obs::kOriginFailoversTotal);
-
   // The RetryPolicy budget applies per origin; the breaker usually fails
   // over long before one origin's budget is exhausted.
   const std::size_t budget = retry_.max_attempts * clients_.size();
-  sim::FetchOutcome outcome;
-  outcome.attempts = burned_attempts;
-  outcome.origin = current_origin_;
-
   std::size_t consecutive_failures = 0;
-  while (outcome.attempts < budget) {
-    ++outcome.attempts;
+  while (attempts < budget) {
+    ++attempts;
+    // With every breaker open and no probe due the claim is denied; the
+    // denied consults advanced each probe schedule, so a later cycle will
+    // be let through, and the backoff below keeps this loop from spinning.
     const std::optional<std::size_t> origin = pool_.acquire(current_origin_);
-    if (!origin.has_value()) {
-      // Every breaker is open and no probe is due. The denied consults
-      // advanced each probe schedule, so a later cycle will be let through;
-      // the backoff below keeps this loop from spinning.
-      failures_total.increment();
-    } else {
+    if (origin.has_value()) {
       if (*origin != current_origin_) {
         ++failovers_;
-        failovers_total.increment();
+        registry.counter(obs::kOriginFailoversTotal).increment();
         current_origin_ = *origin;
       }
-      const std::optional<double> kilobits = attempt(*origin, target);
-      if (kilobits.has_value()) {
-        pool_.report_success(*origin);
-        outcome.kilobits = *kilobits;
-        outcome.origin = *origin;
-        outcome.duration_s = std::max(now() - start_session_s, 1e-6);
-        return outcome;
-      }
+      const AttemptEnd end = attempt(*origin);
+      if (end == AttemptEnd::kDelivered) pool_.report_success(*origin);
+      // An abort is self-inflicted: no breaker report, no failure count.
+      if (end != AttemptEnd::kFailed) return end;
       pool_.report_failure(*origin);
-      failures_total.increment();
     }
+    registry.counter(obs::kFetchAttemptFailuresTotal).increment();
     ++consecutive_failures;
-    if (outcome.attempts < budget) {
-      retries_total.increment();
+    if (attempts < budget) {
+      registry.counter(obs::kFetchRetriesTotal).increment();
       const double backoff_s =
           retry_.backoff_s(consecutive_failures, jitter_rng_);
       std::this_thread::sleep_for(
           std::chrono::duration<double>(backoff_s / speedup_));
     }
   }
-
-  outcome.failed = true;
-  outcome.kilobits = 0.0;
-  outcome.duration_s = std::max(now() - start_session_s, 1e-6);
-  outcome.origin = current_origin_;
-  return outcome;
+  return AttemptEnd::kFailed;
 }
 
 std::optional<sim::FetchOutcome> HttpChunkSource::try_hedged_fetch(
@@ -451,94 +430,53 @@ std::optional<sim::FetchOutcome> HttpChunkSource::try_hedged_fetch(
   ++hedges_launched_;
   registry.counter(obs::kHedgedRequestsTotal).increment();
 
-  struct Leg {
-    bool done = false;
-    std::optional<double> kilobits;
-  };
-  util::Mutex mutex;
-  util::CondVar cv;
-  Leg legs[2];
-  bool hedge_ran = false;
+  // Both legs run on this thread's poll loop: the primary now, the hedge
+  // once hedge_delay_s has passed without a primary win. The first 2xx wins
+  // and the other leg's connection is closed here; a leg that fails drops
+  // out and the other runs on.
   const std::size_t leg_origin[2] = {*primary, *secondary};
-
-  std::thread hedge([&] {
-    if (failover_.hedge_delay_s > 0.0) {
-      const util::MutexLock lock(mutex);
-      const bool primary_won = cv.wait_for(
-          mutex,
-          std::chrono::duration<double>(failover_.hedge_delay_s / speedup_),
-          [&] { return legs[0].done && legs[0].kilobits.has_value(); });
-      if (primary_won) {
-        legs[1].done = true;  // cancelled before launch
-        cv.notify_all();
-        return;
-      }
+  Leg legs[2] = {Leg(*clients_[*primary]), Leg(*clients_[*secondary])};
+  legs[0].start(target);
+  const Clock::time_point hedge_at =
+      Clock::now() + wall(failover_.hedge_delay_s, speedup_);
+  int winner = -1;
+  double won_kilobits = 0.0;
+  while (winner < 0 &&
+         (legs[0].running() || !legs[1].started() || legs[1].running())) {
+    if (!legs[1].started() && Clock::now() >= hedge_at) legs[1].start(target);
+    HttpClient::poll({legs[0].client(), legs[1].client()},
+                     legs[1].started() ? Clock::time_point::max() : hedge_at);
+    for (int i = 0; i < 2 && winner < 0; ++i) {
+      if (!legs[i].running()) continue;
+      legs[i].step();
+      if (legs[i].running()) continue;
+      const std::optional<double> kb = delivered_kilobits(target, legs[i]);
+      if (!kb.has_value()) continue;
+      winner = i;
+      won_kilobits = *kb;
     }
-    {
-      const util::MutexLock lock(mutex);
-      hedge_ran = true;
-    }
-    const std::optional<double> kilobits = attempt(leg_origin[1], target);
-    bool primary_done = false;
-    {
-      const util::MutexLock lock(mutex);
-      legs[1].done = true;
-      legs[1].kilobits = kilobits;
-      primary_done = legs[0].done;
-      cv.notify_all();
-    }
-    // A winning hedge cancels the still-running primary leg: its blocked
-    // read fails and the main thread moves on immediately instead of riding
-    // the slow origin to its socket timeout.
-    if (kilobits.has_value() && !primary_done) clients_[leg_origin[0]]->abort();
-  });
-
-  const std::optional<double> primary_result = attempt(leg_origin[0], target);
-  bool hedge_pending = false;
-  {
-    const util::MutexLock lock(mutex);
-    legs[0].done = true;
-    legs[0].kilobits = primary_result;
-    hedge_pending = !legs[1].done;
-    cv.notify_all();
   }
+  const bool hedge_ran = legs[1].started();
+  // The primary's failure is real unless the hedge won while it still ran;
+  // the loser, closed when `legs` goes out of scope, is never reported, so
+  // the breaker does not open on self-inflicted errors.
+  const bool primary_failed = winner != 0 && !legs[0].running();
 
-  if (primary_result.has_value()) {
-    // Primary won; cancel a still-running hedge (harmless no-op when the
-    // hedge is idle or already finished).
-    if (hedge_pending) clients_[leg_origin[1]]->abort();
-    hedge.join();
+  if (winner == 0) {
     pool_.report_success(leg_origin[0]);
-    // The hedge leg is never reported: a failure may only mean we aborted
-    // it, and the breaker must not open on self-inflicted errors.
     sim::FetchOutcome outcome;
     outcome.attempts = burned + 1 + (hedge_ran ? 1 : 0);
     outcome.origin = leg_origin[0];
-    outcome.kilobits = *primary_result;
+    outcome.kilobits = won_kilobits;
     outcome.duration_s = std::max(now() - start_session_s, 1e-6);
     burned = outcome.attempts;
     return outcome;
   }
-
-  // Primary failed — genuinely, or because a winning hedge aborted it.
-  std::optional<double> hedge_result;
-  {
-    const util::MutexLock lock(mutex);
-    cv.wait(mutex, [&] { return legs[1].done; });
-    hedge_result = legs[1].kilobits;
-  }
-  hedge.join();
-
-  const bool hedge_won = hedge_result.has_value();
-  // Skip the primary's failure report only when the hedge finished first
-  // and won (the abort case); a failure that predates the hedge's finish is
-  // real even if the hedge went on to win.
-  if (hedge_pending || !hedge_won) {
+  if (primary_failed) {
     pool_.report_failure(leg_origin[0]);
     registry.counter(obs::kFetchAttemptFailuresTotal).increment();
   }
-
-  if (hedge_won) {
+  if (winner == 1) {
     pool_.report_success(leg_origin[1]);
     ++hedge_wins_;
     registry.counter(obs::kHedgeWinsTotal).increment();
@@ -546,16 +484,17 @@ std::optional<sim::FetchOutcome> HttpChunkSource::try_hedged_fetch(
     sim::FetchOutcome outcome;
     outcome.attempts = burned + 2;
     outcome.origin = leg_origin[1];
-    outcome.kilobits = *hedge_result;
+    outcome.kilobits = won_kilobits;
     outcome.duration_s = std::max(now() - start_session_s, 1e-6);
     burned = outcome.attempts;
     return outcome;
   }
 
-  // Both legs failed for real.
+  // Both legs failed for real (the hedge always launches unless the
+  // primary wins).
   pool_.report_failure(leg_origin[1]);
   registry.counter(obs::kFetchAttemptFailuresTotal).increment();
-  burned += hedge_ran ? 2 : 1;
+  burned += 2;
   return std::nullopt;
 }
 

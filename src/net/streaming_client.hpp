@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -33,8 +34,9 @@ struct FailoverOptions {
 
   /// When true, the first `hedge_chunks` chunks of the session each race a
   /// second request against another healthy origin (tail-latency insurance
-  /// for the startup-critical chunks that gate playback). The losing leg is
-  /// aborted and not reported to the breaker.
+  /// for the startup-critical chunks that gate playback). Both legs run on
+  /// the calling thread's poll loop; the losing leg's connection is closed
+  /// and the loser is not reported to the breaker.
   bool hedge_startup = false;
   std::size_t hedge_chunks = 1;
 
@@ -43,14 +45,20 @@ struct FailoverOptions {
   double hedge_delay_s = 0.0;
 };
 
+/// How one transfer attempt of HttpChunkSource ended.
+enum class AttemptEnd { kDelivered, kAborted, kFailed };
+
 /// A sim::ChunkSource that fetches chunks over real HTTP, converting wall
 /// time to session time by the emulation speedup. Plugging this into
 /// PlayerSession turns the simulator into the paper's real-player emulation
 /// (Section 7.2): same controller, same buffer logic, but transfers cross an
 /// actual TCP connection shaped by the server.
 ///
+/// Every transfer runs on a poll() loop on the calling thread (see
+/// HttpClient); no fetch starts a thread.
+///
 /// Transport failures are survived, not propagated: each fetch runs the
-/// RetryPolicy's attempt loop — per-attempt socket deadline, capped
+/// RetryPolicy's attempt loop — per-read deadline, capped
 /// exponential backoff with jitter from a seeded RNG — and reports
 /// exhaustion through FetchOutcome::failed so PlayerSession can degrade or
 /// skip. Retries, timeouts, and attempt failures are counted in the global
@@ -85,11 +93,11 @@ class HttpChunkSource final : public sim::ChunkSource {
   /// Sub-chunk transfer over real HTTP: a resume credit turns into a
   /// "Range: bytes=N-" request (206 verified against Content-Range; a 416
   /// at a full offset means the chunk is already complete), and the abort
-  /// monitor runs as a wall-clock watchdog thread that cancels the in-flight
-  /// request via HttpClient::abort() when the projected completion implies a
-  /// stall. Self-inflicted aborts are never reported to the circuit breaker
-  /// and are not counted as attempt failures. Hedged startup is bypassed in
-  /// controlled mode (an aborted hedge is indistinguishable from a loss).
+  /// monitor is a timer on the transfer's poll loop that asks
+  /// FetchControl::stall_projected — the projection TraceChunkSource uses —
+  /// and closes the connection when it projects a stall. Self-inflicted
+  /// aborts are never reported to the circuit breaker and are not counted
+  /// as attempt failures. Hedged startup is bypassed in controlled mode.
   sim::FetchOutcome fetch_controlled(std::size_t chunk, std::size_t level,
                                      const sim::FetchControl& control) override;
   bool supports_range() const override { return true; }
@@ -111,9 +119,15 @@ class HttpChunkSource final : public sim::ChunkSource {
   /// nullopt on any retryable failure. Throws on 3xx/4xx (config bug).
   std::optional<double> attempt(std::size_t origin, const std::string& target);
 
-  sim::FetchOutcome fetch_with_retries(const std::string& target,
-                                       double start_session_s,
-                                       std::size_t burned_attempts);
+  /// The RetryPolicy loop of both fetch paths: each attempt claims an
+  /// origin from the pool (a move counts as a failover), runs `attempt`
+  /// there and reports a delivery or a failure to the breaker, and a
+  /// failure backs off before the next attempt. Stops at the first delivery
+  /// or abort, or once max_attempts per origin are spent; `attempts` also
+  /// counts those spent before the call.
+  AttemptEnd run_attempts(
+      std::size_t& attempts,
+      const std::function<AttemptEnd(std::size_t)>& attempt);
 
   /// Races `target` against the preferred origin and a hedge target.
   /// Returns the winning outcome, or nullopt when no second healthy origin

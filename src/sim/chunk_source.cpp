@@ -19,6 +19,14 @@ double RetryPolicy::backoff_s(std::size_t failed_attempts,
   return std::max(0.0, capped * (1.0 + jitter));
 }
 
+bool FetchControl::stall_projected(double elapsed_s, double done,
+                                   double goal) const {
+  if (elapsed_s < min_observation_s) return false;
+  const double rate = done / elapsed_s;
+  const double cushion_s = std::max(0.0, buffer_s - elapsed_s);
+  return rate <= 0.0 || (goal - done) / rate > cushion_s + max_stall_s;
+}
+
 TraceChunkSource::TraceChunkSource(const trace::ThroughputTrace& trace,
                                    const media::VideoManifest& manifest)
     : trace_(&trace), manifest_(&manifest) {}
@@ -62,15 +70,8 @@ FetchOutcome TraceChunkSource::fetch_controlled(std::size_t chunk,
     for (double t = start_s + control.check_interval_s; t < end_s;
          t += control.check_interval_s) {
       const double elapsed = t - start_s;
-      if (elapsed < control.min_observation_s) continue;
       const double done_kb = trace_->kilobits_between(start_s, t);
-      const double remaining_kb = goal_kb - done_kb;
-      const double rate_kbps = done_kb / elapsed;
-      const double cushion_s = std::max(0.0, control.buffer_s - elapsed);
-      const bool stall_projected =
-          rate_kbps <= 0.0 ||
-          remaining_kb / rate_kbps > cushion_s + control.max_stall_s;
-      if (stall_projected) {
+      if (control.stall_projected(elapsed, done_kb, goal_kb)) {
         outcome.aborted = true;
         outcome.duration_s = elapsed;
         outcome.kilobits = done_kb;

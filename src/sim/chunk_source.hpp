@@ -59,6 +59,13 @@ struct FetchControl {
   double max_stall_s = 1.0;        ///< tolerated projected stall
   double min_observation_s = 1.0;  ///< monitor warm-up before any abort
   double check_interval_s = 0.25;  ///< checkpoint spacing
+
+  /// The abort checkpoint, one projection for every source: whether a
+  /// transfer that has delivered `done` of its `goal` (in any one unit)
+  /// `elapsed_s` after it began projects, at its delivered-so-far rate, to
+  /// finish later than the cushion left plus max_stall_s. Never during the
+  /// min_observation_s warm-up.
+  bool stall_projected(double elapsed_s, double done, double goal) const;
 };
 
 /// Transport retry semantics shared by the real-HTTP client and the
@@ -71,8 +78,9 @@ struct RetryPolicy {
   double backoff_multiplier = 2.0;
   double max_backoff_s = 5.0;       ///< cap on the exponential growth
   double jitter_fraction = 0.25;    ///< backoff scaled by 1 +/- this * u
-  int request_timeout_ms = 10000;   ///< per-attempt socket deadline (wall
-                                    ///< clock; real-network sources only)
+  int request_timeout_ms = 10000;   ///< per-read deadline: the longest
+                                    ///< wait for the next byte (wall clock;
+                                    ///< real-network sources only)
 
   /// Backoff before the next attempt after `failed_attempts` (>= 1)
   /// consecutive failures, in session seconds. Jitter comes from `rng` so a

@@ -93,6 +93,12 @@ std::size_t partition_from(const std::vector<double>& keys, std::size_t hint,
   return lo;
 }
 
+/// Rounding slack for a quantity of magnitude `scale`: 1e-9 relative, and
+/// never below 1e-9 absolute.
+[[maybe_unused]] constexpr double slack(double scale) {
+  return 1e-9 * std::max(1.0, scale);
+}
+
 }  // namespace
 
 std::size_t ThroughputTrace::segment_at(double u, std::size_t& hint) const {
@@ -105,18 +111,18 @@ std::size_t ThroughputTrace::segment_at(double u, std::size_t& hint) const {
 }
 
 double ThroughputTrace::kilobits_before(double u, std::size_t& hint) const {
-  // A phase taken modulo the period may round a hair outside [0, period]:
-  // segment_at keeps one below zero in the first segment, and the clamp
-  // below caps one past the end.
-  assert(u >= -1e-9 && u <= period_s_ + 1e-9);
-  u = std::min(u, period_s_);
+  // A phase taken modulo the period may round a few ulps of the time
+  // outside [0, period]; it is clamped in, so the count never goes
+  // negative.
+  assert(u >= -slack(period_s_) && u <= period_s_ + slack(period_s_));
+  u = std::clamp(u, 0.0, period_s_);
   const std::size_t index = segment_at(u, hint);
   return cum_kb_[index] + (u - cum_time_[index]) * segments_[index].rate_kbps;
 }
 
 double ThroughputTrace::time_for_kilobits(double from_kb, double kb,
                                           std::size_t& hint) const {
-  assert(kb >= 0.0 && kb <= total_kb_ + 1e-9 && from_kb <= kb);
+  assert(kb >= 0.0 && kb <= total_kb_ + slack(total_kb_) && from_kb <= kb);
   kb = std::min(kb, total_kb_);
   // The first segment whose cumulative start reaches kb and lies past
   // from_kb. An exact hit completes at that segment's start, before any
@@ -166,6 +172,7 @@ double ThroughputTrace::transfer_end_time(double kilobits, double start_s,
   if (kilobits <= total_kb_ - before) {
     end_s = cycle_start + time_for_kilobits(before, before + kilobits, hint);
   } else {
+    if (std::isinf(kilobits)) return kilobits;  // it never arrives
     // The rest arrives over later periods. An exact multiple of a period's
     // capacity completes in the last full period, before its trailing
     // outage.

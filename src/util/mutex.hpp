@@ -1,6 +1,5 @@
 #pragma once
 
-#include <condition_variable>
 #include <mutex>
 
 #include "util/thread_annotations.hpp"
@@ -23,7 +22,6 @@ class ABR_CAPABILITY("mutex") Mutex {
   bool try_lock() ABR_TRY_ACQUIRE(true) { return mutex_.try_lock(); }
 
  private:
-  friend class CondVar;
   std::mutex mutex_;
 };
 
@@ -41,40 +39,6 @@ class ABR_SCOPED_CAPABILITY MutexLock {
 
  private:
   Mutex& mutex_;
-};
-
-/// Condition variable that waits on a util::Mutex. Waits take the Mutex
-/// itself (it satisfies BasicLockable), so callers keep a MutexLock in scope
-/// and the analysis can check ABR_REQUIRES on every wait:
-///
-///   MutexLock lock(mutex_);
-///   cv_.wait(mutex_, [&] { return ready_; });
-class CondVar {
- public:
-  CondVar() = default;
-
-  CondVar(const CondVar&) = delete;
-  CondVar& operator=(const CondVar&) = delete;
-
-  void notify_one() { cv_.notify_one(); }
-  void notify_all() { cv_.notify_all(); }
-
-  void wait(Mutex& mutex) ABR_REQUIRES(mutex) { cv_.wait(mutex); }
-
-  template <typename Predicate>
-  void wait(Mutex& mutex, Predicate predicate) ABR_REQUIRES(mutex) {
-    cv_.wait(mutex, std::move(predicate));
-  }
-
-  /// Returns the predicate's value at wakeup (false = timed out).
-  template <typename Rep, typename Period, typename Predicate>
-  bool wait_for(Mutex& mutex, const std::chrono::duration<Rep, Period>& rel,
-                Predicate predicate) ABR_REQUIRES(mutex) {
-    return cv_.wait_for(mutex, rel, std::move(predicate));
-  }
-
- private:
-  std::condition_variable_any cv_;
 };
 
 }  // namespace abr::util

@@ -468,6 +468,64 @@ TEST(HedgedFetch, SecondaryWinsAgainstStuckPrimaryWithoutWaitingForTimeout) {
   EXPECT_EQ(source.hedges_launched(), 1u);
 }
 
+TEST(HedgedFetch, HedgeWaitsForItsDelayThenWins) {
+  const auto manifest = testing::small_manifest();
+  const double speedup = 20.0;
+  const auto trace = trace::ThroughputTrace::constant(8000.0, 600.0);
+  SilentServer stuck;
+  ChunkServer healthy(manifest, trace, speedup);
+  healthy.start();
+  healthy.reset_trace_clock();
+
+  sim::RetryPolicy retry;
+  retry.request_timeout_ms = 5000;
+  FailoverOptions failover;
+  failover.hedge_startup = true;
+  failover.hedge_delay_s = 10.0;  // 0.5 s of wall time at this speedup
+  HttpChunkSource source(
+      {{"127.0.0.1", stuck.port()}, {"127.0.0.1", healthy.port()}}, manifest,
+      speedup, retry, /*jitter_seed=*/0x5eedULL, failover);
+
+  const auto start = Clock::now();
+  const sim::FetchOutcome outcome = source.fetch(0, 0);
+  const double wall_s = seconds_since(start);
+  EXPECT_FALSE(outcome.failed);
+  EXPECT_EQ(outcome.origin, 1u);
+  EXPECT_EQ(outcome.attempts, 2u);
+  EXPECT_EQ(source.hedge_wins(), 1u);
+  EXPECT_GE(wall_s, 0.45);
+  EXPECT_LT(wall_s, 3.0);
+}
+
+TEST(HedgedFetch, PrimaryWinningWithinTheDelayNeverLaunchesTheHedge) {
+  const auto manifest = testing::small_manifest();
+  const double speedup = 20.0;
+  const auto trace = trace::ThroughputTrace::constant(8000.0, 600.0);
+  ChunkServer origin_a(manifest, trace, speedup);
+  ChunkServer origin_b(manifest, trace, speedup);
+  origin_a.start();
+  origin_b.start();
+  origin_a.reset_trace_clock();
+  origin_b.reset_trace_clock();
+
+  FailoverOptions failover;
+  failover.hedge_startup = true;
+  failover.hedge_delay_s = 600.0;  // 30 s of wall time at this speedup
+  HttpChunkSource source(
+      {{"127.0.0.1", origin_a.port()}, {"127.0.0.1", origin_b.port()}},
+      manifest, speedup, sim::RetryPolicy{}, /*jitter_seed=*/0x5eedULL,
+      failover);
+
+  const auto start = Clock::now();
+  const sim::FetchOutcome outcome = source.fetch(0, 0);
+  EXPECT_FALSE(outcome.failed);
+  EXPECT_EQ(outcome.origin, 0u);
+  EXPECT_EQ(outcome.attempts, 1u);
+  EXPECT_EQ(source.hedges_launched(), 1u);
+  EXPECT_EQ(source.hedge_wins(), 0u);
+  EXPECT_LT(seconds_since(start), 5.0);
+}
+
 TEST(HedgedFetch, PrimaryWinsWhenBothHealthy) {
   const auto manifest = testing::small_manifest();
   const double speedup = 20.0;

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstring>
+#include <optional>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -74,27 +77,49 @@ class HttpConnectionTest : public ::testing::Test {
   TcpListener listener_;
 };
 
+/// Server side of a test exchange: reads the next request head off
+/// `stream`; nullopt on EOF between requests.
+std::optional<HttpRequest> read_request(TcpStream& stream) {
+  std::string head;
+  char byte = 0;
+  while (head.find("\r\n\r\n") == std::string::npos) {
+    if (stream.read(&byte, 1) == 0) return std::nullopt;
+    head.push_back(byte);
+  }
+  HttpRequest request;
+  EXPECT_TRUE(parse_request_line(first_line_of(head), request)) << head;
+  request.headers = parse_header_block(head, /*skip_lines=*/1);
+  return request;
+}
+
+void write_response(TcpStream& stream, const HttpResponse& response) {
+  stream.write_all(serialize_response_head(response.status, response.reason,
+                                           response.headers,
+                                           response.body.size()) +
+                   response.body);
+}
+
 TEST_F(HttpConnectionTest, RequestResponseRoundTrip) {
   std::thread server([this] {
-    HttpConnection connection(listener_.accept());
-    const auto request = connection.read_request();
+    TcpStream stream = listener_.accept();
+    const auto request = read_request(stream);
     ASSERT_TRUE(request.has_value());
     EXPECT_EQ(request->method, "GET");
     EXPECT_EQ(request->target, "/hello");
     EXPECT_NE(request->headers.find("Host"), nullptr);
+    ASSERT_NE(request->headers.find("X-Test"), nullptr);
+    EXPECT_EQ(*request->headers.find("X-Test"), "1");
 
     HttpResponse response;
     response.body = "world";
     response.headers.set("Content-Type", "text/plain");
-    connection.write_response(response);
+    write_response(stream, response);
   });
 
-  HttpConnection client(TcpStream::connect("127.0.0.1", listener_.port()));
-  HttpRequest request;
-  request.method = "GET";
-  request.target = "/hello";
-  client.write_request(request, "127.0.0.1");
-  const HttpResponse response = client.read_response();
+  HttpClient client("127.0.0.1", listener_.port(), 3000);
+  HttpHeaders headers;
+  headers.set("X-Test", "1");
+  const HttpResponse response = client.request("/hello", headers);
   EXPECT_EQ(response.status, 200);
   EXPECT_EQ(response.body, "world");
   EXPECT_EQ(*response.headers.find("content-type"), "text/plain");
@@ -103,26 +128,24 @@ TEST_F(HttpConnectionTest, RequestResponseRoundTrip) {
 
 TEST_F(HttpConnectionTest, KeepAliveServesMultipleRequests) {
   std::thread server([this] {
-    HttpConnection connection(listener_.accept());
+    TcpStream stream = listener_.accept();
     for (int i = 0; i < 3; ++i) {
-      const auto request = connection.read_request();
+      const auto request = read_request(stream);
       ASSERT_TRUE(request.has_value());
+      EXPECT_EQ(request->target, "/r" + std::to_string(i));
       HttpResponse response;
       response.body = "reply-" + std::to_string(i);
-      connection.write_response(response);
+      write_response(stream, response);
     }
     // Fourth read: client closed -> clean EOF.
-    EXPECT_FALSE(connection.read_request().has_value());
+    EXPECT_FALSE(read_request(stream).has_value());
   });
 
   {
-    HttpConnection client(TcpStream::connect("127.0.0.1", listener_.port()));
+    HttpClient client("127.0.0.1", listener_.port(), 3000);
     for (int i = 0; i < 3; ++i) {
-      HttpRequest request;
-      request.method = "GET";
-      request.target = "/r" + std::to_string(i);
-      client.write_request(request, "localhost");
-      EXPECT_EQ(client.read_response().body, "reply-" + std::to_string(i));
+      EXPECT_EQ(client.request("/r" + std::to_string(i)).body,
+                "reply-" + std::to_string(i));
     }
   }  // destructor closes the connection
   server.join();
@@ -131,42 +154,31 @@ TEST_F(HttpConnectionTest, KeepAliveServesMultipleRequests) {
 TEST_F(HttpConnectionTest, BodyWithContentLengthRoundTrips) {
   const std::string payload(100000, 'x');
   std::thread server([this, &payload] {
-    HttpConnection connection(listener_.accept());
-    const auto request = connection.read_request();
-    ASSERT_TRUE(request.has_value());
-    EXPECT_EQ(request->body, payload);
+    TcpStream stream = listener_.accept();
+    ASSERT_TRUE(read_request(stream).has_value());
     HttpResponse response;
     response.body = payload;
-    connection.write_response(response);
+    write_response(stream, response);
   });
 
-  HttpConnection client(TcpStream::connect("127.0.0.1", listener_.port()));
-  HttpRequest request;
-  request.method = "POST";
-  request.target = "/upload";
-  request.body = payload;
-  client.write_request(request, "localhost");
-  EXPECT_EQ(client.read_response().body, payload);
+  HttpClient client("127.0.0.1", listener_.port(), 3000);
+  EXPECT_EQ(client.request("/download").body, payload);
   server.join();
 }
 
 TEST_F(HttpConnectionTest, ProgressCallbackObservesBody) {
   std::thread server([this] {
-    HttpConnection connection(listener_.accept());
-    (void)connection.read_request();
+    TcpStream stream = listener_.accept();
+    (void)read_request(stream);
     HttpResponse response;
     response.body = std::string(50000, 'y');
-    connection.write_response(response);
+    write_response(stream, response);
   });
 
-  HttpConnection client(TcpStream::connect("127.0.0.1", listener_.port()));
-  HttpRequest request;
-  request.method = "GET";
-  request.target = "/data";
-  client.write_request(request, "localhost");
+  HttpClient client("127.0.0.1", listener_.port(), 3000);
   std::size_t last_seen = 0;
   bool saw_done = false;
-  client.read_response([&](std::size_t bytes, bool done) {
+  client.request("/data", [&](std::size_t bytes, bool done) {
     EXPECT_GE(bytes, last_seen);
     last_seen = bytes;
     if (done) saw_done = true;
@@ -176,25 +188,18 @@ TEST_F(HttpConnectionTest, ProgressCallbackObservesBody) {
   server.join();
 }
 
-TEST_F(HttpConnectionTest, MalformedRequestThrows) {
-  std::thread client([this] {
-    TcpStream stream = TcpStream::connect("127.0.0.1", listener_.port());
-    stream.write_all("NONSENSE\r\n\r\n");
-  });
-  HttpConnection connection(listener_.accept());
-  EXPECT_THROW(connection.read_request(), std::invalid_argument);
-  client.join();
-}
-
 TEST_F(HttpConnectionTest, TruncatedBodyThrows) {
-  std::thread client([this] {
-    TcpStream stream = TcpStream::connect("127.0.0.1", listener_.port());
-    stream.write_all("GET / HTTP/1.1\r\nContent-Length: 10\r\n\r\nabc");
+  std::thread server([this] {
+    TcpStream stream = listener_.accept();
+    (void)read_request(stream);
+    stream.write_all("HTTP/1.1 200 OK\r\nContent-Length: 10\r\n\r\nabc");
     stream.shutdown_write();
   });
-  HttpConnection connection(listener_.accept());
-  EXPECT_THROW(connection.read_request(), std::invalid_argument);
-  client.join();
+  HttpClient client("127.0.0.1", listener_.port(), 3000);
+  EXPECT_THROW(client.request("/cut"), std::invalid_argument);
+  // The landed prefix stays readable after the failure.
+  EXPECT_EQ(client.body_bytes(), 3u);
+  server.join();
 }
 
 TEST_F(HttpConnectionTest, HttpClientGetAndReconnect) {
@@ -202,14 +207,14 @@ TEST_F(HttpConnectionTest, HttpClientGetAndReconnect) {
   std::thread server([this, &connections] {
     // Serve one request per connection (Connection: close), twice.
     for (int i = 0; i < 2; ++i) {
-      HttpConnection connection(listener_.accept());
+      TcpStream stream = listener_.accept();
       ++connections;
-      const auto request = connection.read_request();
+      const auto request = read_request(stream);
       ASSERT_TRUE(request.has_value());
       HttpResponse response;
       response.body = "r" + std::to_string(i);
       response.headers.set("Connection", "close");
-      connection.write_response(response);
+      write_response(stream, response);
     }
   });
 
@@ -222,12 +227,12 @@ TEST_F(HttpConnectionTest, HttpClientGetAndReconnect) {
 
 TEST_F(HttpConnectionTest, HttpClientThrowsOnErrorStatus) {
   std::thread server([this] {
-    HttpConnection connection(listener_.accept());
-    (void)connection.read_request();
+    TcpStream stream = listener_.accept();
+    (void)read_request(stream);
     HttpResponse response;
     response.status = 404;
     response.reason = "Not Found";
-    connection.write_response(response);
+    write_response(stream, response);
   });
   HttpClient client("127.0.0.1", listener_.port());
   EXPECT_THROW(client.get("/missing"), std::runtime_error);
@@ -239,12 +244,11 @@ using ProgressLog = std::vector<std::pair<std::size_t, bool>>;
 
 TEST_F(HttpConnectionTest, HeaderBlockAndShortBodyInOneSegmentParse) {
   std::thread server([this] {
-    HttpConnection connection(listener_.accept());
-    (void)connection.read_request();
+    TcpStream stream = listener_.accept();
+    (void)read_request(stream);
     // One write: the status line, headers and body share a segment, so the
-    // whole body is already buffered when the header block is parsed.
-    connection.stream().write_all(
-        "HTTP/1.1 200 OK\r\nContent-Length: 5\r\n\r\nhello");
+    // whole body arrives with the header block.
+    stream.write_all("HTTP/1.1 200 OK\r\nContent-Length: 5\r\n\r\nhello");
   });
   HttpClient client("127.0.0.1", listener_.port(), 3000);
   ProgressLog reports;
@@ -257,6 +261,93 @@ TEST_F(HttpConnectionTest, HeaderBlockAndShortBodyInOneSegmentParse) {
   EXPECT_EQ(response.body, "hello");
   ASSERT_EQ(reports.size(), 1u);
   EXPECT_EQ(reports[0], std::make_pair(std::size_t{5}, true));
+}
+
+TEST_F(HttpConnectionTest, StrayBytesPastTheResponseCloseTheConnection) {
+  std::atomic<int> connections{0};
+  std::thread server([this, &connections] {
+    for (int i = 0; i < 2; ++i) {
+      TcpStream stream = listener_.accept();
+      ++connections;
+      (void)read_request(stream);
+      // A well-formed response followed by bytes nobody asked for.
+      stream.write_all("HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nokJUNK");
+      (void)read_request(stream);  // waits for the client to hang up
+    }
+  });
+  HttpClient client("127.0.0.1", listener_.port(), 3000);
+  EXPECT_EQ(client.request("/a").body, "ok");
+  // The stray bytes are not read as the next response: it reconnects.
+  EXPECT_EQ(client.request("/b").body, "ok");
+  client.close();
+  server.join();
+  EXPECT_EQ(connections.load(), 2);
+}
+
+/// Feeds `wire` to a fresh reader in pieces of `step` bytes.
+HttpResponse read_in_steps(std::string_view wire, std::size_t step,
+                           std::size_t& taken) {
+  ResponseReader reader;
+  taken = 0;
+  while (!reader.done() && taken < wire.size()) {
+    taken += reader.feed(wire.substr(taken, step));
+  }
+  EXPECT_TRUE(reader.done());
+  return reader.response();
+}
+
+TEST(ResponseReader, EverySplitGivesTheSameResponseAndStopsAtItsEnd) {
+  const std::string message =
+      "HTTP/1.1 206 Partial Content\r\nContent-Range: bytes 5-9/10\r\n"
+      "Content-Length: 5\r\n\r\nhello";
+  const std::string wire = message + "HTTP/1.1 200 OK\r\n";
+  for (std::size_t step = 1; step <= wire.size(); ++step) {
+    std::size_t taken = 0;
+    const HttpResponse response = read_in_steps(wire, step, taken);
+    EXPECT_EQ(taken, message.size()) << "step " << step;
+    EXPECT_EQ(response.status, 206);
+    EXPECT_EQ(response.reason, "Partial Content");
+    EXPECT_EQ(response.body, "hello");
+    ASSERT_NE(response.headers.find("content-range"), nullptr);
+    EXPECT_EQ(*response.headers.find("content-range"), "bytes 5-9/10");
+  }
+}
+
+TEST(ResponseReader, BodyLandsInPlaceAfterTheHead) {
+  ResponseReader reader;
+  const std::string head = "HTTP/1.1 200 OK\r\nContent-Length: 6\r\n\r\nab";
+  EXPECT_EQ(reader.feed(head), head.size());
+  ASSERT_TRUE(reader.head_done());
+  EXPECT_EQ(reader.body_bytes(), 2u);
+  ASSERT_EQ(reader.body_missing(), 4u);
+  std::memcpy(reader.body_tail(), "cdef", 4);
+  reader.landed(4);
+  EXPECT_TRUE(reader.done());
+  EXPECT_EQ(reader.feed("more"), 0u);
+  EXPECT_EQ(reader.response().body, "abcdef");
+}
+
+TEST(ResponseReader, RejectsMalformedFramingWhateverTheSplit) {
+  const std::string head = "HTTP/1.1 200 OK\r\nX: ";
+  const std::string end = "\r\n\r\n";
+  const std::string oversized = head + std::string(kMaxHeaderBytes, 'a') + end;
+  const std::string fits = head + std::string(kMaxHeaderBytes - 20, 'a') + end;
+  ASSERT_EQ(fits.find("\r\n\r\n"), kMaxHeaderBytes);
+  const char* const malformed[] = {
+      "SPDY/3 200 OK\r\n\r\n",
+      "HTTP/1.1 200 OK\r\nno colon\r\n\r\n",
+      "HTTP/1.1 200 OK\r\nContent-Length: x\r\n\r\n",
+      "HTTP/1.1 200 OK\r\nContent-Length: 268435457\r\n\r\n",
+  };
+  for (const std::size_t step : {std::size_t{1} << 16, std::size_t{4093}}) {
+    std::size_t taken = 0;
+    EXPECT_THROW(read_in_steps(oversized, step, taken), std::invalid_argument);
+    EXPECT_EQ(read_in_steps(fits, step, taken).status, 200);
+    for (const char* bad : malformed) {
+      EXPECT_THROW(read_in_steps(bad, step, taken), std::invalid_argument)
+          << bad;
+    }
+  }
 }
 
 TEST(HttpReadPath, ProgressOnALargeBodyStrictlyIncreasesToItsSize) {

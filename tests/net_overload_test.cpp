@@ -167,7 +167,7 @@ TEST(RouteHardening, OversizedRequestLineGets400) {
 
   TcpStream stream = TcpStream::connect("127.0.0.1", server.port());
   stream.set_timeout_ms(5000);
-  const std::string huge_target(HttpConnection::kMaxRequestLineBytes + 64, 'a');
+  const std::string huge_target(kMaxRequestLineBytes + 64, 'a');
   stream.write_all("GET /" + huge_target + " HTTP/1.1\r\nHost: t\r\n\r\n");
   const std::string response = read_to_eof(stream).bytes;
   EXPECT_NE(response.find("400 Bad Request"), std::string::npos);
@@ -184,7 +184,7 @@ TEST(RouteHardening, OversizedHeaderBlockGets400) {
   stream.set_timeout_ms(5000);
   std::string request = "GET /manifest.mpd HTTP/1.1\r\nHost: t\r\n";
   const std::string padding(1024, 'x');
-  for (int i = 0; request.size() < HttpConnection::kMaxHeaderBytes + 4096; ++i) {
+  for (int i = 0; request.size() < kMaxHeaderBytes + 4096; ++i) {
     request += "X-Flood-" + std::to_string(i) + ": " + padding + "\r\n";
   }
   request += "\r\n";

@@ -5,6 +5,8 @@
 // contract.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <limits>
 #include <sstream>
 #include <string>
@@ -24,6 +26,7 @@
 #include "testing/fault_plan.hpp"
 #include "testing/faulty_source.hpp"
 #include "trace/throughput_trace.hpp"
+#include "util/rng.hpp"
 
 namespace abr::net {
 namespace {
@@ -292,6 +295,83 @@ TEST(HttpRangeResume, TruncatedBodyCreditsExactlyTheLandedPrefix) {
               8.0 / 1000.0);
   EXPECT_NEAR(resumed.delivered_kilobits, manifest.chunk_kilobits(0, 0),
               1e-9);
+}
+
+TEST(HttpRangeResume, AbortMonitorClosesACollapsingTransferOnTheWire) {
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::global();
+  registry.set_enabled(true);
+  // One 4 s chunk at 3000 kbps (12 000 kb). The link carries its first
+  // quarter at 4000 kbps and then collapses to 10 kbps: the whole body
+  // would need ~900 session seconds, 45 s of wall time at this speedup.
+  const auto manifest = media::VideoManifest::cbr(1, 4.0, {3000.0}, "cliff");
+  const trace::ThroughputTrace trace({{0.75, 4000.0}, {3600.0, 10.0}}, "cliff");
+  const double speedup = 20.0;
+  ChunkServer collapsing(manifest, trace, speedup);
+  ChunkServer spare(manifest, trace, speedup);
+  collapsing.start();
+  spare.start();
+  sim::RetryPolicy retry;
+  retry.request_timeout_ms = 5000;
+  HttpChunkSource source(
+      {{"127.0.0.1", collapsing.port()}, {"127.0.0.1", spare.port()}},
+      manifest, speedup, retry);
+  collapsing.reset_trace_clock();
+  const double failures_before =
+      registry.counter(obs::kFetchAttemptFailuresTotal).value();
+
+  // No cushion, 1 s warm-up, 1 s tolerated stall, 0.25 s checkpoints: the
+  // first checkpoint past the warm-up projects ~3 s more and aborts.
+  sim::FetchControl control;
+  control.abort_enabled = true;
+  const auto start = std::chrono::steady_clock::now();
+  const sim::FetchOutcome outcome = source.fetch_controlled(0, 0, control);
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  const double wall_s = std::chrono::duration<double>(elapsed).count();
+  collapsing.stop();
+  spare.stop();
+
+  EXPECT_TRUE(outcome.aborted);
+  EXPECT_FALSE(outcome.failed);
+  EXPECT_EQ(outcome.attempts, 1u);
+  EXPECT_GT(outcome.delivered_kilobits, 0.0);
+  EXPECT_LT(outcome.delivered_kilobits, manifest.chunk_kilobits(0, 0));
+  // A self-inflicted abort is no attempt failure and opens no breaker.
+  EXPECT_EQ(registry.counter(obs::kFetchAttemptFailuresTotal).value(),
+            failures_before);
+  EXPECT_EQ(source.pool().state(0), BreakerState::kClosed);
+  EXPECT_EQ(source.pool().state(1), BreakerState::kClosed);
+  EXPECT_LT(wall_s, 10.0);
+  registry.set_enabled(false);
+}
+
+TEST(FetchControl, StallProjectionMatchesItsDefinition) {
+  // DESIGN.md section 12.2, written out: past the warm-up, abort when the
+  // delivered-so-far rate leaves the rest landing later than the cushion
+  // left plus the tolerated stall (or nothing has landed at all).
+  const auto reference = [](const sim::FetchControl& c, double elapsed,
+                            double done, double goal) {
+    if (elapsed < c.min_observation_s) return false;
+    const double remaining = goal - done;
+    const double rate = done / elapsed;
+    const double cushion_s = std::max(0.0, c.buffer_s - elapsed);
+    return rate <= 0.0 || remaining / rate > cushion_s + c.max_stall_s;
+  };
+  util::Rng rng(19);
+  std::size_t stalls = 0;
+  for (int i = 0; i < 20000; ++i) {
+    sim::FetchControl control;
+    control.buffer_s = rng.uniform(0.0, 8.0);
+    control.max_stall_s = rng.uniform(0.0, 2.0);
+    control.min_observation_s = rng.uniform(0.0, 1.5);
+    const double goal = rng.uniform(1.0, 12000.0);
+    const double done = rng.uniform() < 0.05 ? 0.0 : rng.uniform(0.0, goal);
+    const double elapsed = rng.uniform(0.0, 6.0);
+    const bool projected = control.stall_projected(elapsed, done, goal);
+    EXPECT_EQ(projected, reference(control, elapsed, done, goal)) << i;
+    stalls += projected ? 1 : 0;
+  }
+  EXPECT_GT(stalls, 1000u);
+  EXPECT_LT(stalls, 19000u);
 }
 
 TEST(TraceControlled, ResumeCreditShortensTheTransfer) {
