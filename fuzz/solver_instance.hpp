@@ -31,7 +31,8 @@ struct SolverInstance {
 /// Decodes bytes into `out`. Ranges are chosen so branch-and-bound and
 /// exhaustive enumeration (at most 5^5 = 3125 plans) both stay fast
 /// (<~1ms per solve): ladders of 2-5 levels, horizons of 1-5 chunks, short
-/// videos of 1-8 chunks.
+/// videos of 1-8 chunks, CBR or VBR sizes, buffer capacities of 5-30 s or
+/// of at most one chunk duration.
 inline void decode_solver_instance(FuzzInput& in, SolverInstance& out) {
   const std::size_t levels = in.uniform_size(2, 5);
   std::vector<double> ladder;
@@ -74,6 +75,34 @@ inline void decode_solver_instance(FuzzInput& in, SolverInstance& out) {
       out.hint.push_back(in.uniform_size(0, levels - 1));
     }
     out.problem.warm_hint = out.hint;
+  }
+
+  // Shapes added after the first corpus, read after every choice above so
+  // that zeros keep the instance above. The gate is an integer choice like
+  // the others (eight bytes); it reads 0 on every committed seed, so they
+  // decode as before.
+  if (in.uniform_size(0, 1) == 1) {
+    if (in.boolean()) {
+      // VBR: every (chunk, level) size scaled on its own, so a chunk's
+      // largest download need not be its top rung's.
+      std::vector<double> ladder = out.manifest.bitrates_kbps();
+      std::vector<std::vector<double>> sizes(chunks);
+      for (std::vector<double>& row : sizes) {
+        for (const double kbps : ladder) {
+          row.push_back(chunk_duration_s * kbps * in.uniform_double(0.25, 4.0));
+        }
+      }
+      out.manifest = abr::media::VideoManifest::from_sizes(
+          chunk_duration_s, std::move(ladder), std::move(sizes), "fuzz-vbr");
+    }
+    if (in.boolean()) {
+      // A buffer capacity of at most one chunk duration: the Bmax clamp
+      // binds after every append.
+      out.problem.buffer_capacity_s =
+          chunk_duration_s * in.uniform_double(0.05, 1.0);
+      out.problem.buffer_s =
+          in.uniform_double(0.0, out.problem.buffer_capacity_s);
+    }
   }
 }
 

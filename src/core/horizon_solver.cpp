@@ -57,10 +57,9 @@ HorizonSolver::HorizonSolver(const media::VideoManifest& manifest,
     level_quality_[level] = qoe.quality(manifest.bitrate_kbps(level));
   }
   switch_cost_.resize(levels * levels);
-  double step_scale = 0.0;  // largest |q| plus largest switching cost
   double max_switch = 0.0;
   for (std::size_t level = 0; level < levels; ++level) {
-    step_scale = std::max(step_scale, std::abs(level_quality_[level]));
+    step_scale_ = std::max(step_scale_, std::abs(level_quality_[level]));
     for (std::size_t prev = 0; prev < levels; ++prev) {
       const double cost =
           lambda * std::abs(level_quality_[level] - level_quality_[prev]);
@@ -68,7 +67,7 @@ HorizonSolver::HorizonSolver(const media::VideoManifest& manifest,
       max_switch = std::max(max_switch, cost);
     }
   }
-  step_scale += max_switch;
+  step_scale_ += max_switch;
 
   // Admissible bound on the `rest` chunks after choosing `level`. If m is
   // the best quality the remaining path plays, it earns at most rest * m
@@ -77,7 +76,7 @@ HorizonSolver::HorizonSolver(const media::VideoManifest& manifest,
   // Over the reals it is admissible. In floating point, summing `rest` more
   // steps onto a running value can land above the real sum by about
   // rest * 2^-53 times the magnitudes involved: the running value's (added
-  // per node in solve()) and up to rest * step_scale from the steps. A
+  // per node in solve()) and up to rest * step_scale_ from the steps. A
   // slack of 1e-9 of those magnitudes covers that for any horizon below
   // ~10^6 chunks.
   // Row 0 (no chunks left) stays 0 and is never read: the last depth takes
@@ -86,7 +85,7 @@ HorizonSolver::HorizonSolver(const media::VideoManifest& manifest,
   rest_bound_.assign(chunks * levels, 0.0);
   for (std::size_t rest = 1; rest < chunks; ++rest) {
     const double r = static_cast<double>(rest);
-    const double slack = kBoundSlack * (r * step_scale + 1.0);
+    const double slack = kBoundSlack * (r * step_scale_ + 1.0);
     for (std::size_t level = 0; level < levels; ++level) {
       double bound = -std::numeric_limits<double>::infinity();
       for (const double m : level_quality_) {
@@ -127,14 +126,81 @@ HorizonSolution HorizonSolver::solve(const HorizonProblem& problem,
   const std::size_t last = horizon - 1;
 
   // --- Workspace preparation (no allocation once at high-water capacity) --
+  // Throughput cap on the r = last - depth chunks after a node at `depth`
+  // whose post-append buffer is b'. Their rebuffering totals at least
+  // sum d_j - b' - (r - 1) * L: each step's buffer after the append is at
+  // most its unclamped value, so rebuffer_j >= b_j - b_{j-1} + d_j - L, and
+  // the last step contributes d_r - b_{r-1}; the sum telescopes, whatever
+  // the Bmax clamp does. Rebuffering is also >= 0, so for any t in [0, 1]
+  // the chunks are worth at most
+  //   sum_j max_m (q_m - mu * t * d_{j,m}) + mu * t * (b' + (r - 1) * L)
+  // (switching and mu_event only subtract). That is a line in b' per depth;
+  // two of them are kept, for t = 1 and for t_low = C_0 / (mu * L) capped at
+  // 1, where C_0 is the first forecast: for a CBR ladder under the identity
+  // quality and a flat forecast every q_m - mu * t * d_m vanishes at t_low,
+  // the only breakpoint of the convex bound in t. With mu = 0 the cap is
+  // sum max q, never below rest_bound_, so its lines stay +inf.
+  // The float slack is 1e-9 of every magnitude a remaining step can round:
+  // the rest_bound_ terms, mu_event, mu times the chunk's longest download
+  // (rebuffering) and mu times the buffer, which is below b' + r * L. A
+  // buffer's rounding carries into every later rebuffer, so the error
+  // grows like r^2 * 2^-53 of those magnitudes: covered below ~10^3 chunks.
+  const bool capped = w.mu > 0.0;
+  const double t_low =
+      capped ? std::min(1.0, problem.predicted_kbps[0] /
+                                 (w.mu * chunk_duration))
+             : 0.0;
+  constexpr double kInf = std::numeric_limits<double>::infinity();
   ws.download_s_.resize(horizon * levels);
+  ws.cap_.assign(horizon, Workspace::CapLines{kInf, kInf});
   for (std::size_t depth = 0; depth < horizon; ++depth) {
     const std::size_t chunk = problem.first_chunk + depth;
     const double forecast = problem.predicted_kbps[depth];
+    double best_low = -kInf;
+    double best_high = -kInf;
+    double longest = 0.0;
     for (std::size_t level = 0; level < levels; ++level) {
-      ws.download_s_[depth * levels + level] =
+      const double download_s =
           manifest.chunk_kilobits(chunk, level) / forecast;
+      ws.download_s_[depth * levels + level] = download_s;
+      if (capped) {
+        const double q = level_quality_[level];
+        best_low = std::max(best_low, q - w.mu * t_low * download_s);
+        best_high = std::max(best_high, q - w.mu * download_s);
+        longest = std::max(longest, download_s);
+      }
     }
+    if (capped) {
+      const double slack =
+          kBoundSlack * (step_scale_ + w.mu_event + w.mu * longest);
+      const Workspace::CapLines terms{best_low + slack, best_high + slack};
+      // A chunk whose terms overflow leaves the cap at +inf for every depth
+      // before it (the switch-aware bound still applies).
+      if (std::isfinite(terms.low) && std::isfinite(terms.high)) {
+        ws.cap_[depth] = terms;
+      }
+    }
+  }
+  // Suffix sums turn cap_[depth] into the intercepts for the chunks after
+  // `depth`; cap_[last] is never read (the leaves take the exact test).
+  double slope_low = 0.0;
+  double slope_high = 0.0;
+  if (capped) {
+    Workspace::CapLines sum{0.0, 0.0};
+    Workspace::CapLines next_chunk = ws.cap_[last];
+    for (std::size_t depth = last; depth-- > 0;) {
+      sum.low += next_chunk.low;
+      sum.high += next_chunk.high;
+      next_chunk = ws.cap_[depth];
+      const double rest = static_cast<double>(last - depth);
+      const double reach = (rest - 1.0) * chunk_duration;
+      const double slack = kBoundSlack * (w.mu * rest * chunk_duration + 1.0);
+      ws.cap_[depth] = Workspace::CapLines{
+          sum.low + w.mu * t_low * reach + slack,
+          sum.high + w.mu * reach + slack};
+    }
+    slope_low = w.mu * (t_low + kBoundSlack);
+    slope_high = w.mu * (1.0 + kBoundSlack);
   }
   // Dominance sets for every depth but the last (see the leaf loop).
   if (ws.frontier_.size() < last * levels) {
@@ -232,6 +298,7 @@ HorizonSolution HorizonSolver::solve(const HorizonProblem& problem,
       nodes_expanded += levels;
     } else {
       const double* bounds = &rest_bound_[(last - depth) * levels];
+      const Workspace::CapLines cap = ws.cap_[depth];
       Workspace::Frontier* frontiers = &ws.frontier_[depth * levels];
       bool descended = false;
       while (frame.next_child < levels) {
@@ -247,12 +314,16 @@ HorizonSolution HorizonSolver::solve(const HorizonProblem& problem,
         const double next_value =
             frame.value + step_value(level, rebuffer, prev_level, has_prev);
 
-        // Admissible bound (its slack grows with the running value, whose
-        // rounding the remaining additions inherit). While the incumbent is
-        // the provisional hint, branches that could *tie* it survive so
-        // tie-breaking matches the cold solve exactly.
+        // Admissible bound: the switch-aware one or the throughput cap,
+        // whichever is tighter (its slack grows with the running value,
+        // whose rounding the remaining additions inherit). While the
+        // incumbent is the provisional hint, branches that could *tie* it
+        // survive so tie-breaking matches the cold solve exactly.
+        const double remaining =
+            std::min({bounds[level], cap.low + slope_low * next_buffer,
+                      cap.high + slope_high * next_buffer});
         const double optimistic =
-            next_value + kBoundSlack * std::abs(next_value) + bounds[level];
+            next_value + kBoundSlack * std::abs(next_value) + remaining;
         if (search_found ? optimistic <= best_value
                          : optimistic < best_value) {
           continue;

@@ -62,12 +62,16 @@ struct HorizonSolution {
 /// Depth-first branch-and-bound over the |R|^N sequence space, levels tried
 /// from highest quality down, with two exact prunings that leave the result
 /// optimal:
-///  - switch-aware admissible bound: once a level with quality q is chosen,
+///  - admissible bound: a branch whose value plus an upper bound on the
+///    remaining chunks cannot beat the incumbent is cut. The bound is the
+///    lower of two. Switch-aware: once a level with quality q is chosen,
 ///    `rest` more chunks whose best rung has quality m are worth at most
 ///    rest * m - lambda * (m - q)+ (reaching m from q costs at least that
-///    much switching; rebuffering only subtracts). The bound for a
-///    (rest, level) pair is the maximum over rungs m, precomputed per solver.
-///    A branch whose value plus bound cannot beat the incumbent is cut;
+///    much switching; rebuffering only subtracts), maximized over rungs m
+///    and precomputed per (rest, level) per solver. Throughput cap: the
+///    remaining chunks rebuffer at least sum d - b' - (rest - 1) * L after
+///    a node whose buffer is b', which caps their worth by a line in b'
+///    per depth, two lines precomputed per solve (see solve());
 ///  - dominance: at a given (depth, level) a partial solution with both a
 ///    lower buffer and a lower accumulated objective than a previously seen
 ///    one can be discarded.
@@ -135,8 +139,17 @@ class HorizonSolver {
       std::size_t next_child = 0;
     };
 
+    /// Intercepts of the throughput cap's two lines in the post-append
+    /// buffer (for t = t_low and t = 1; see solve()), bounding what the
+    /// chunks after a node at one depth can add; +inf where it cannot bind.
+    struct CapLines {
+      double low = 0.0;
+      double high = 0.0;
+    };
+
     std::vector<Frontier> frontier_;  ///< [depth * levels + level]
     std::vector<double> download_s_;  ///< [depth * levels + level]
+    std::vector<CapLines> cap_;       ///< [depth]
     std::vector<Frame> frames_;       ///< [depth]
     std::vector<std::size_t> best_levels_;
     std::vector<std::size_t> current_levels_;
@@ -166,6 +179,9 @@ class HorizonSolver {
   /// lambda * (q_m - q_level)+, plus its float slack, for every rest below
   /// the manifest's chunk count (a horizon never exceeds it).
   std::vector<double> rest_bound_;
+  /// Largest |q| plus largest switching cost: the per-step magnitude that
+  /// scales the bounds' float slack.
+  double step_scale_ = 0.0;
 
   /// Search-effort distribution histogram, resolved at construction so the
   /// hot loop never runs a magic-static guard.

@@ -62,38 +62,6 @@ TcpStream TcpStream::connect(const std::string& host, std::uint16_t port) {
   return TcpStream(std::move(fd));
 }
 
-std::size_t TcpStream::read(char* data, std::size_t size) {
-  while (true) {
-    const ssize_t n = ::recv(fd_.get(), data, size, 0);
-    if (n >= 0) return static_cast<std::size_t>(n);
-    if (errno == EINTR) continue;
-    throw_errno("recv");
-  }
-}
-
-void TcpStream::write_all(const char* data, std::size_t size) {
-  std::size_t sent = 0;
-  while (sent < size) {
-    const ssize_t n = ::send(fd_.get(), data + sent, size - sent, MSG_NOSIGNAL);
-    if (n > 0) {
-      sent += static_cast<std::size_t>(n);
-      continue;
-    }
-    if (n < 0 && errno == EINTR) continue;
-    throw_errno("send");
-  }
-}
-
-void TcpStream::set_timeout_ms(int milliseconds) {
-  timeval tv{};
-  tv.tv_sec = milliseconds / 1000;
-  tv.tv_usec = (milliseconds % 1000) * 1000;
-  if (::setsockopt(fd_.get(), SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv)) != 0 ||
-      ::setsockopt(fd_.get(), SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv)) != 0) {
-    throw_errno("setsockopt(SO_*TIMEO)");
-  }
-}
-
 void TcpStream::set_nonblocking(bool enabled) {
   const int flags = ::fcntl(fd_.get(), F_GETFL, 0);
   if (flags < 0) throw_errno("fcntl(F_GETFL)");
@@ -108,8 +76,6 @@ void TcpStream::set_no_delay(bool enabled) {
     throw_errno("setsockopt(TCP_NODELAY)");
   }
 }
-
-void TcpStream::shutdown_write() { ::shutdown(fd_.get(), SHUT_WR); }
 
 void TcpStream::shutdown_both() {
   if (fd_.valid()) ::shutdown(fd_.get(), SHUT_RDWR);

@@ -1,18 +1,17 @@
 #pragma once
 
 #include <atomic>
-#include <cstddef>
 #include <cstdint>
 #include <string>
 
 namespace abr::net {
 
 /// RAII owner of a POSIX file descriptor (Core Guidelines R.1): closes on
-/// destruction, move-only. The descriptor slot is atomic because the
-/// shutdown contract of TcpListener/TcpStream is cross-thread: one thread
-/// blocks in accept()/read() while another close()es or shutdown()s the
-/// same object to wake it. Moves are still single-threaded (ownership
-/// transfer is never concurrent); only get/valid/close race by design.
+/// destruction, move-only. The descriptor slot is atomic because
+/// TcpListener's shutdown contract is cross-thread: one thread blocks in
+/// accept() while another close()s the listener to wake it. Moves are
+/// still single-threaded (ownership transfer is never concurrent); only
+/// get/valid/close race by design.
 class FileDescriptor {
  public:
   FileDescriptor() = default;
@@ -34,8 +33,11 @@ class FileDescriptor {
   std::atomic<int> fd_{-1};
 };
 
-/// A connected TCP byte stream. All operations throw std::system_error on
-/// socket failure; read() returning 0 means orderly EOF.
+/// A connected TCP socket: connect, options, shutdown and close. Its bytes
+/// move elsewhere, on the descriptor (fd()): the client's poll loop
+/// (net/http) and the origin's epoll shards (net/epoll_server) send and
+/// recv without blocking. Operations throw std::system_error on socket
+/// failure.
 class TcpStream {
  public:
   TcpStream() = default;
@@ -46,19 +48,8 @@ class TcpStream {
 
   bool valid() const { return fd_.valid(); }
 
-  /// Reads up to `size` bytes; returns bytes read, 0 on EOF.
-  std::size_t read(char* data, std::size_t size);
-
-  /// Writes the whole buffer (looping over partial writes).
-  void write_all(const char* data, std::size_t size);
-  void write_all(std::string_view text) { write_all(text.data(), text.size()); }
-
-  /// Sets SO_RCVTIMEO/SO_SNDTIMEO so a stuck peer cannot hang a blocking
-  /// read or write.
-  void set_timeout_ms(int milliseconds);
-
-  /// Sets O_NONBLOCK: read()/write return what the kernel has instead of
-  /// blocking (the epoll transport's I/O mode).
+  /// Sets O_NONBLOCK: reads and writes on fd() return what the kernel has
+  /// instead of blocking (the epoll transport's I/O mode).
   void set_nonblocking(bool enabled);
 
   /// Raw descriptor for event-loop registration. Ownership stays with the
@@ -68,13 +59,8 @@ class TcpStream {
   /// Disables Nagle; chunk transfers are latency-sensitive at their tail.
   void set_no_delay(bool enabled);
 
-  /// Shuts down the write side (signals EOF to the peer).
-  void shutdown_write();
-
-  /// Shuts down both directions without closing the descriptor: any thread
-  /// blocked in read()/write() on this stream returns immediately. Safe to
-  /// call from another thread (the canonical way to interrupt a blocked
-  /// connection handler).
+  /// Shuts down both directions without closing the descriptor, so the
+  /// peer sees EOF at once even while the descriptor is still open.
   void shutdown_both();
 
   void close() { fd_.close(); }

@@ -12,6 +12,7 @@
 
 #include "media/manifest.hpp"
 #include "net/chunk_server.hpp"
+#include "test_helpers.hpp"
 #include "trace/throughput_trace.hpp"
 
 namespace abr::net {
@@ -83,7 +84,7 @@ std::optional<HttpRequest> read_request(TcpStream& stream) {
   std::string head;
   char byte = 0;
   while (head.find("\r\n\r\n") == std::string::npos) {
-    if (stream.read(&byte, 1) == 0) return std::nullopt;
+    if (testing::read_some(stream, &byte, 1) == 0) return std::nullopt;
     head.push_back(byte);
   }
   HttpRequest request;
@@ -93,10 +94,11 @@ std::optional<HttpRequest> read_request(TcpStream& stream) {
 }
 
 void write_response(TcpStream& stream, const HttpResponse& response) {
-  stream.write_all(serialize_response_head(response.status, response.reason,
-                                           response.headers,
-                                           response.body.size()) +
-                   response.body);
+  testing::write_all(stream,
+                     serialize_response_head(response.status, response.reason,
+                                             response.headers,
+                                             response.body.size()) +
+                         response.body);
 }
 
 TEST_F(HttpConnectionTest, RequestResponseRoundTrip) {
@@ -192,8 +194,9 @@ TEST_F(HttpConnectionTest, TruncatedBodyThrows) {
   std::thread server([this] {
     TcpStream stream = listener_.accept();
     (void)read_request(stream);
-    stream.write_all("HTTP/1.1 200 OK\r\nContent-Length: 10\r\n\r\nabc");
-    stream.shutdown_write();
+    testing::write_all(stream,
+                       "HTTP/1.1 200 OK\r\nContent-Length: 10\r\n\r\nabc");
+    testing::shutdown_write(stream);
   });
   HttpClient client("127.0.0.1", listener_.port(), 3000);
   EXPECT_THROW(client.request("/cut"), std::invalid_argument);
@@ -248,7 +251,8 @@ TEST_F(HttpConnectionTest, HeaderBlockAndShortBodyInOneSegmentParse) {
     (void)read_request(stream);
     // One write: the status line, headers and body share a segment, so the
     // whole body arrives with the header block.
-    stream.write_all("HTTP/1.1 200 OK\r\nContent-Length: 5\r\n\r\nhello");
+    testing::write_all(stream,
+                       "HTTP/1.1 200 OK\r\nContent-Length: 5\r\n\r\nhello");
   });
   HttpClient client("127.0.0.1", listener_.port(), 3000);
   ProgressLog reports;
@@ -271,7 +275,8 @@ TEST_F(HttpConnectionTest, StrayBytesPastTheResponseCloseTheConnection) {
       ++connections;
       (void)read_request(stream);
       // A well-formed response followed by bytes nobody asked for.
-      stream.write_all("HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nokJUNK");
+      testing::write_all(stream,
+                         "HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nokJUNK");
       (void)read_request(stream);  // waits for the client to hang up
     }
   });

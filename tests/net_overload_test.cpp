@@ -58,8 +58,8 @@ TEST(AdmissionControl, ShedsPastCapWith503AndRecovers) {
 
   // The third connection is shed: full 503 with Retry-After, then close.
   TcpStream shed = TcpStream::connect("127.0.0.1", server.port());
-  shed.set_timeout_ms(3000);
-  shed.write_all(kClosingGet);
+  testing::set_timeout_ms(shed, 3000);
+  testing::write_all(shed, kClosingGet);
   const auto [response, eof] = read_to_eof(shed);
   EXPECT_TRUE(eof);
   EXPECT_NE(response.find("503 Service Unavailable"), std::string::npos);
@@ -125,8 +125,8 @@ TEST(Slowloris, IdleConnectionIsDeadlined) {
   // Dribble half a request line and stall: the server must cut us off
   // around its idle deadline rather than hold the slot forever.
   TcpStream victim = TcpStream::connect("127.0.0.1", server.port());
-  victim.write_all("GET /manif");
-  victim.set_timeout_ms(3000);
+  testing::write_all(victim, "GET /manif");
+  testing::set_timeout_ms(victim, 3000);
   const auto start = std::chrono::steady_clock::now();
   const std::string leftovers = read_to_eof(victim).bytes;  // EOF when dropped
   const double waited =
@@ -151,8 +151,8 @@ TEST(RouteHardening, MalformedRequestGets400AndIsCounted) {
   server.start();
 
   TcpStream stream = TcpStream::connect("127.0.0.1", server.port());
-  stream.set_timeout_ms(3000);
-  stream.write_all("this is not http\r\n\r\n");
+  testing::set_timeout_ms(stream, 3000);
+  testing::write_all(stream, "this is not http\r\n\r\n");
   const std::string response = read_to_eof(stream).bytes;
   EXPECT_NE(response.find("400 Bad Request"), std::string::npos);
   EXPECT_GE(malformed.value(), before + 1.0);
@@ -166,9 +166,10 @@ TEST(RouteHardening, OversizedRequestLineGets400) {
   server.start();
 
   TcpStream stream = TcpStream::connect("127.0.0.1", server.port());
-  stream.set_timeout_ms(5000);
+  testing::set_timeout_ms(stream, 5000);
   const std::string huge_target(kMaxRequestLineBytes + 64, 'a');
-  stream.write_all("GET /" + huge_target + " HTTP/1.1\r\nHost: t\r\n\r\n");
+  testing::write_all(stream,
+                     "GET /" + huge_target + " HTTP/1.1\r\nHost: t\r\n\r\n");
   const std::string response = read_to_eof(stream).bytes;
   EXPECT_NE(response.find("400 Bad Request"), std::string::npos);
   server.stop();
@@ -181,7 +182,7 @@ TEST(RouteHardening, OversizedHeaderBlockGets400) {
   server.start();
 
   TcpStream stream = TcpStream::connect("127.0.0.1", server.port());
-  stream.set_timeout_ms(5000);
+  testing::set_timeout_ms(stream, 5000);
   std::string request = "GET /manifest.mpd HTTP/1.1\r\nHost: t\r\n";
   const std::string padding(1024, 'x');
   for (int i = 0; request.size() < kMaxHeaderBytes + 4096; ++i) {
@@ -189,7 +190,7 @@ TEST(RouteHardening, OversizedHeaderBlockGets400) {
   }
   request += "\r\n";
   try {
-    stream.write_all(request);
+    testing::write_all(stream, request);
   } catch (const std::system_error&) {
     // The server may cut the flood off mid-write; the 400 (or the close)
     // below is the point.
@@ -217,8 +218,9 @@ TEST(RouteHardening, NonGetMethodGets405WithAllow) {
   server.start();
 
   TcpStream stream = TcpStream::connect("127.0.0.1", server.port());
-  stream.set_timeout_ms(3000);
-  stream.write_all(
+  testing::set_timeout_ms(stream, 3000);
+  testing::write_all(
+      stream,
       "POST /manifest.mpd HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n");
   const auto [response, eof] = read_to_eof(stream);
   EXPECT_TRUE(eof) << "the request's Connection: close was not honoured";
@@ -456,7 +458,7 @@ TEST(TimerHeap, ShorterWriteDeadlineTripsUnderTheIdleWindow) {
   server.start();
 
   TcpStream stalled = TcpStream::connect("127.0.0.1", server.port());
-  stalled.write_all("GET /big HTTP/1.1\r\nHost: t\r\n\r\n");
+  testing::write_all(stalled, "GET /big HTTP/1.1\r\nHost: t\r\n\r\n");
   ASSERT_TRUE(eventually([&] { return handler.done(); }, 5000ms));
   EXPECT_EQ(handler.outcome(), EpollServer::Outcome::kWriteDeadline);
   EXPECT_TRUE(eventually([&] { return server.active_connections() == 0; }));
@@ -532,8 +534,9 @@ TEST(AcceptLoop, SurvivesFdExhaustion) {
   ::setrlimit(RLIMIT_NOFILE, &original);
 
   // With fds back, the pending connection is accepted and served.
-  client.set_timeout_ms(5000);
-  client.write_all(
+  testing::set_timeout_ms(client, 5000);
+  testing::write_all(
+      client,
       "GET /healthz HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n");
   const auto [response, eof] = read_to_eof(client);
   EXPECT_TRUE(eof) << "the request's Connection: close was not honoured";

@@ -5,8 +5,11 @@
 #include <unistd.h>
 
 #include <string>
+#include <string_view>
 #include <system_error>
 #include <thread>
+
+#include "test_helpers.hpp"
 
 namespace abr::net {
 namespace {
@@ -28,16 +31,17 @@ TEST(TcpStream, EchoRoundTrip) {
   std::thread server([&listener] {
     TcpStream peer = listener.accept();
     char buffer[64];
-    const std::size_t n = peer.read(buffer, sizeof(buffer));
-    peer.write_all(buffer, n);
+    const std::size_t n = testing::read_some(peer, buffer, sizeof(buffer));
+    testing::write_all(peer, std::string_view(buffer, n));
   });
 
   TcpStream client = TcpStream::connect("127.0.0.1", listener.port());
-  client.write_all("hello");
+  testing::write_all(client, "hello");
   char buffer[64];
   std::size_t total = 0;
   while (total < 5) {
-    const std::size_t n = client.read(buffer + total, sizeof(buffer) - total);
+    const std::size_t n =
+        testing::read_some(client, buffer + total, sizeof(buffer) - total);
     ASSERT_GT(n, 0u);
     total += n;
   }
@@ -53,26 +57,7 @@ TEST(TcpStream, ReadReturnsZeroOnPeerClose) {
   });
   TcpStream client = TcpStream::connect("127.0.0.1", listener.port());
   char buffer[16];
-  EXPECT_EQ(client.read(buffer, sizeof(buffer)), 0u);
-  server.join();
-}
-
-TEST(TcpStream, ShutdownWriteSignalsEof) {
-  TcpListener listener = TcpListener::bind_loopback();
-  std::thread server([&listener] {
-    TcpStream peer = listener.accept();
-    char buffer[16];
-    std::size_t total = 0;
-    while (true) {
-      const std::size_t n = peer.read(buffer, sizeof(buffer));
-      if (n == 0) break;
-      total += n;
-    }
-    EXPECT_EQ(total, 3u);
-  });
-  TcpStream client = TcpStream::connect("127.0.0.1", listener.port());
-  client.write_all("abc");
-  client.shutdown_write();
+  EXPECT_EQ(testing::read_some(client, buffer, sizeof(buffer)), 0u);
   server.join();
 }
 

@@ -143,13 +143,13 @@ TEST(TelemetryServer, FifthConnectionPastTheCapGets503) {
   std::vector<TcpStream> holds;
   for (std::size_t i = 0; i < kCap; ++i) {
     holds.push_back(TcpStream::connect("127.0.0.1", server.port()));
-    holds.back().write_all("GET /metrics HTTP/1.1\r\nX-Trickle: ");
+    testing::write_all(holds.back(), "GET /metrics HTTP/1.1\r\nX-Trickle: ");
   }
   std::atomic<bool> trickling{true};
   std::thread trickler([&] {
     try {
       while (trickling.load()) {
-        for (TcpStream& hold : holds) hold.write_all("a");
+        for (TcpStream& hold : holds) testing::write_all(hold, "a");
         std::this_thread::sleep_for(80ms);
       }
     } catch (const std::system_error&) {
@@ -161,8 +161,8 @@ TEST(TelemetryServer, FifthConnectionPastTheCapGets503) {
       [&] { return server.transport().active_connections() >= kCap; }));
 
   TcpStream shed = TcpStream::connect("127.0.0.1", server.port());
-  shed.set_timeout_ms(3000);
-  shed.write_all("GET /metrics HTTP/1.1\r\nHost: t\r\n\r\n");
+  testing::set_timeout_ms(shed, 3000);
+  testing::write_all(shed, "GET /metrics HTTP/1.1\r\nHost: t\r\n\r\n");
   const auto [response, eof] = read_to_eof(shed);
   EXPECT_TRUE(eof);
   EXPECT_NE(response.find("503 Service Unavailable"), std::string::npos)
@@ -185,8 +185,8 @@ TEST(TelemetryServer, MalformedRequestGets400ThenEof) {
   server.start(0);
 
   TcpStream stream = TcpStream::connect("127.0.0.1", server.port());
-  stream.set_timeout_ms(3000);
-  stream.write_all("this is not http\r\n\r\n");
+  testing::set_timeout_ms(stream, 3000);
+  testing::write_all(stream, "this is not http\r\n\r\n");
   const auto [response, eof] = read_to_eof(stream);
   EXPECT_NE(response.find("400 Bad Request"), std::string::npos) << response;
   EXPECT_NE(response.find("Connection: close\r\n"), std::string::npos);
@@ -203,8 +203,8 @@ TEST(TelemetryServer, UnfinishedHeaderBlockIsCutAtTheDeadline) {
   // about its 250 ms deadline later, long before the client's own 3 s
   // timeout would end the wait.
   TcpStream stream = TcpStream::connect("127.0.0.1", server.port());
-  stream.set_timeout_ms(3000);
-  stream.write_all("GET /metrics HTTP/1.1\r\nX-Never: ");
+  testing::set_timeout_ms(stream, 3000);
+  testing::write_all(stream, "GET /metrics HTTP/1.1\r\nX-Never: ");
   const auto start = std::chrono::steady_clock::now();
   const auto [response, eof] = read_to_eof(stream);
   const double waited =
@@ -223,8 +223,8 @@ TEST(TelemetryServer, PostGets405WithAllowGet) {
   server.start(0);
 
   TcpStream stream = TcpStream::connect("127.0.0.1", server.port());
-  stream.set_timeout_ms(3000);
-  stream.write_all("POST /metrics HTTP/1.1\r\nHost: t\r\n\r\n");
+  testing::set_timeout_ms(stream, 3000);
+  testing::write_all(stream, "POST /metrics HTTP/1.1\r\nHost: t\r\n\r\n");
   const auto [response, eof] = read_to_eof(stream);
   EXPECT_NE(response.find("405 Method Not Allowed"), std::string::npos)
       << response;

@@ -3,6 +3,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "core/horizon_solver.hpp"
@@ -199,6 +200,102 @@ TEST(SolverWarmStart, SwitchAwareBoundIsExactAcrossFamiliesAndEdges) {
     hints.emplace_back(solved, levels - 1);
     hints.emplace_back(solved, 0);
 
+    for (std::size_t h = 0; h < hints.size(); ++h) {
+      HorizonProblem warm = base;
+      warm.warm_hint = hints[h];
+      const HorizonSolution solution = solver.solve(warm, workspace);
+      ASSERT_EQ(solution.levels, reference.levels)
+          << "trial " << trial << " hint " << h;
+      ASSERT_EQ(solution.objective, reference.objective)
+          << "trial " << trial << " hint " << h;
+    }
+  }
+}
+
+/// The throughput cap binds where rebuffering is forced: small buffers,
+/// forecasts near or below the ladder, and large mu. Against the exhaustive
+/// reference, cold and under every hint, on the shapes where a wrong cap
+/// would show: buffer capacities below one chunk duration (the Bmax clamp
+/// binds after every append), VBR sizes scaled per (chunk, level) so a
+/// chunk's longest download need not be its top rung's, flat (RobustMPC)
+/// and varying forecasts, and mu from 30 to 30 000 with and without a
+/// per-event rebuffer penalty.
+TEST(SolverWarmStart, ThroughputCapIsExactWhereItBinds) {
+  util::Rng rng(95);
+  HorizonSolver::Workspace workspace;
+  const qoe::QoeWeights weight_sets[] = {
+      qoe::QoeWeights::balanced(),
+      {1.0, 30.0, 30.0},
+      {0.5, 30000.0, 30000.0},
+      {1.0, 3000.0, 3000.0, 500.0},
+  };
+
+  for (int trial = 0; trial < 2000; ++trial) {
+    const std::size_t levels = static_cast<std::size_t>(rng.uniform_int(2, 4));
+    const auto ladder = media::VideoManifest::geometric_ladder(
+        rng.uniform(200.0, 500.0), rng.uniform(1500.0, 4000.0), levels);
+    const double lo = ladder.front();
+    const double hi = ladder.back();
+    const double chunk_s = rng.uniform() < 0.5 ? 2.0 : 4.0;
+    std::vector<std::vector<double>> sizes(12);
+    const bool vbr = rng.uniform() < 0.5;
+    for (std::vector<double>& row : sizes) {
+      for (const double kbps : ladder) {
+        row.push_back(chunk_s * kbps * (vbr ? rng.uniform(0.25, 4.0) : 1.0));
+      }
+    }
+    const auto manifest =
+        media::VideoManifest::from_sizes(chunk_s, ladder, std::move(sizes));
+    const qoe::QoeModel qoe(
+        trial % 2 == 0
+            ? media::QualityFunction::identity()
+            : media::QualityFunction::logarithmic(rng.uniform(0.5, 1.5) * lo,
+                                                  1000.0),
+        weight_sets[(trial / 2) % 4]);
+    HorizonSolver solver(manifest, qoe);
+
+    const std::size_t horizon =
+        static_cast<std::size_t>(rng.uniform_int(1, 6));
+    std::vector<double> forecast(horizon, rng.uniform(0.3 * lo, 1.5 * hi));
+    if (rng.uniform() < 0.5) {
+      for (double& c : forecast) c = rng.uniform(0.3 * lo, 1.5 * hi);
+    }
+
+    HorizonProblem base;
+    switch (static_cast<int>(rng.uniform_int(0, 2))) {
+      case 0:
+        base.buffer_capacity_s = rng.uniform(0.1, 1.0) * chunk_s;
+        break;
+      case 1:
+        base.buffer_capacity_s = rng.uniform(1.0, 3.0) * chunk_s;
+        break;
+      default:
+        base.buffer_capacity_s = 30.0;
+        break;
+    }
+    base.buffer_s = rng.uniform() < 0.3
+                        ? 0.0
+                        : rng.uniform(0.0, base.buffer_capacity_s);
+    base.prev_level = static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(levels) - 1));
+    base.has_prev = rng.uniform() < 0.9;
+    base.predicted_kbps = forecast;
+    base.first_chunk = static_cast<std::size_t>(rng.uniform_int(0, 8));
+
+    const HorizonSolution reference =
+        testing::exhaustive_reference(manifest, qoe, base);
+    const HorizonSolution cold = solver.solve(base, workspace);
+    ASSERT_EQ(cold.levels, reference.levels) << "trial " << trial;
+    ASSERT_EQ(cold.objective, reference.objective) << "trial " << trial;
+
+    std::vector<std::size_t> noise(cold.levels.size());
+    for (std::size_t& level : noise) {
+      level = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(levels) - 1));
+    }
+    const std::vector<std::vector<std::size_t>> hints = {
+        cold.levels, noise, std::vector<std::size_t>(1, levels - 1),
+        std::vector<std::size_t>(1, 0)};
     for (std::size_t h = 0; h < hints.size(); ++h) {
       HorizonProblem warm = base;
       warm.warm_hint = hints[h];

@@ -1,7 +1,12 @@
 #pragma once
 
+#include <sys/socket.h>
+#include <sys/time.h>
+
+#include <cerrno>
 #include <chrono>
 #include <string>
+#include <string_view>
 #include <system_error>
 #include <thread>
 #include <utility>
@@ -83,6 +88,55 @@ bool eventually(Predicate predicate, std::chrono::milliseconds deadline =
   return predicate();
 }
 
+// Blocking I/O for raw test peers. The client reads on its poll loop and
+// the origin on epoll, so only tests block on a TcpStream; these act on its
+// descriptor and throw std::system_error on socket failure.
+
+/// Reads up to `size` bytes; returns the count, 0 on orderly EOF.
+inline std::size_t read_some(const net::TcpStream& stream, char* data,
+                             std::size_t size) {
+  while (true) {
+    const ssize_t n = ::recv(stream.fd(), data, size, 0);
+    if (n >= 0) return static_cast<std::size_t>(n);
+    if (errno != EINTR) {
+      throw std::system_error(errno, std::generic_category(), "recv");
+    }
+  }
+}
+
+/// Writes all of `bytes`, looping over partial writes.
+inline void write_all(const net::TcpStream& stream, std::string_view bytes) {
+  std::size_t sent = 0;
+  while (sent < bytes.size()) {
+    const ssize_t n = ::send(stream.fd(), bytes.data() + sent,
+                             bytes.size() - sent, MSG_NOSIGNAL);
+    if (n > 0) {
+      sent += static_cast<std::size_t>(n);
+      continue;
+    }
+    if (n < 0 && errno == EINTR) continue;
+    throw std::system_error(errno, std::generic_category(), "send");
+  }
+}
+
+/// Sets SO_RCVTIMEO and SO_SNDTIMEO so a stuck server cannot hang a test.
+inline void set_timeout_ms(const net::TcpStream& stream, int milliseconds) {
+  timeval tv{};
+  tv.tv_sec = milliseconds / 1000;
+  tv.tv_usec = (milliseconds % 1000) * 1000;
+  if (::setsockopt(stream.fd(), SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv)) !=
+          0 ||
+      ::setsockopt(stream.fd(), SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv)) !=
+          0) {
+    throw std::system_error(errno, std::generic_category(), "setsockopt");
+  }
+}
+
+/// Shuts down the write side: the peer reads EOF.
+inline void shutdown_write(const net::TcpStream& stream) {
+  ::shutdown(stream.fd(), SHUT_WR);
+}
+
 /// What a raw test peer read before the stream ended.
 struct ReadToEof {
   std::string bytes;
@@ -97,7 +151,7 @@ inline ReadToEof read_to_eof(net::TcpStream& stream) {
   char buffer[4096];
   try {
     while (true) {
-      const std::size_t n = stream.read(buffer, sizeof(buffer));
+      const std::size_t n = read_some(stream, buffer, sizeof(buffer));
       if (n == 0) {
         result.eof = true;
         break;
