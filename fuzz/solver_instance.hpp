@@ -6,7 +6,9 @@
 
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
+#include <utility>
 #include <vector>
 
 #include "core/horizon_solver.hpp"
@@ -32,7 +34,8 @@ struct SolverInstance {
 /// exhaustive enumeration (at most 5^5 = 3125 plans) both stay fast
 /// (<~1ms per solve): ladders of 2-5 levels, horizons of 1-5 chunks, short
 /// videos of 1-8 chunks, CBR or VBR sizes, buffer capacities of 5-30 s or
-/// of at most one chunk duration.
+/// of at most one chunk duration, independent or flat forecasts, and four
+/// quality families.
 inline void decode_solver_instance(FuzzInput& in, SolverInstance& out) {
   const std::size_t levels = in.uniform_size(2, 5);
   std::vector<double> ladder;
@@ -104,6 +107,44 @@ inline void decode_solver_instance(FuzzInput& in, SolverInstance& out) {
           in.uniform_double(0.0, out.problem.buffer_capacity_s);
     }
   }
+
+  // Two more choices, read after every one above so that zeros keep the
+  // instance above. A flat forecast is what RobustMPC and MPC solve (and
+  // where the solver's switch-aware cap line applies); without it a flat
+  // run over 2+ chunks appears only once the input runs out.
+  if (in.boolean()) {
+    std::fill(out.forecast.begin(), out.forecast.end(), out.forecast.front());
+  }
+  // The quality family: identity, logarithmic (negative below its
+  // reference), device-saturating (flat above the knee at slope 0), or
+  // piecewise through every rung with flat runs (rungs of equal quality).
+  const std::vector<double>& rates = out.manifest.bitrates_kbps();
+  abr::media::QualityFunction quality = abr::media::QualityFunction::identity();
+  switch (in.uniform_size(0, 3)) {
+    case 1:
+      quality = abr::media::QualityFunction::logarithmic(
+          rates.front() * in.uniform_double(0.5, 1.5),
+          in.uniform_double(100.0, 2000.0));
+      break;
+    case 2:
+      quality = abr::media::QualityFunction::device_saturating(
+          in.uniform_double(rates.front(), rates.back()),
+          in.boolean() ? 0.0 : in.unit());
+      break;
+    case 3: {
+      std::vector<std::pair<double, double>> points;
+      double q = in.uniform_double(0.0, 1000.0);
+      for (const double rate : rates) {
+        points.emplace_back(rate, q);
+        q += in.boolean() ? 0.0 : in.uniform_double(1.0, 2000.0);
+      }
+      quality = abr::media::QualityFunction::piecewise(std::move(points));
+      break;
+    }
+    default:
+      break;
+  }
+  out.model = abr::qoe::QoeModel(std::move(quality), weights);
 }
 
 }  // namespace abr::fuzz

@@ -10,32 +10,6 @@
 
 namespace abr::core {
 
-bool HorizonSolver::Workspace::Frontier::insert(double buffer, double value) {
-  // entries is sorted by buffer strictly descending; because it holds only
-  // non-dominated points, value is strictly ascending. The first index whose
-  // buffer is < `buffer` splits the set into potential dominators (before)
-  // and potential dominatees (after).
-  const auto split = std::partition_point(
-      entries.begin(), entries.end(),
-      [buffer](const Entry& e) { return e.buffer_s >= buffer; });
-  // Among entries with buffer >= `buffer`, the last one has the largest
-  // value, so one comparison decides dominance.
-  if (split != entries.begin() && std::prev(split)->value >= value) {
-    return false;
-  }
-  // Entries after the split have smaller buffers; those with value <= the
-  // incoming one are dominated and form a contiguous run (values ascend).
-  auto last = split;
-  while (last != entries.end() && last->value <= value) ++last;
-  if (split == last) {
-    entries.insert(split, Entry{buffer, value});
-  } else {
-    *split = Entry{buffer, value};
-    entries.erase(std::next(split), last);
-  }
-  return true;
-}
-
 namespace {
 
 /// Relative float slack of the admissible bound (see the constructor).
@@ -95,6 +69,41 @@ HorizonSolver::HorizonSolver(const media::VideoManifest& manifest,
       rest_bound_[rest * levels + level] = bound + slack;
     }
   }
+
+  // The level-dependent part of the switch-aware cap line (see solve()). On
+  // a CBR ladder every chunk of a rung has one size S_m, so under a flat
+  // forecast the `rest` chunks after `level` are worth at most
+  //   max_m [rest * (q_m - s * R_m) - lambda * |q_m - q_level|]
+  // plus a line in the buffer, for any s in [0, 1] (R_m = S_m / L). The
+  // table keeps s = 1 - lambda / rest, the breakpoint of the convex bound
+  // in s for the identity quality; it is +inf for a VBR ladder and where
+  // lambda >= rest (s <= 0: the line is no better than rest_bound_).
+  // Floats: solve() adds the slack, whose magnitudes cover these terms.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  bool cbr = true;
+  for (std::size_t chunk = 1; chunk < chunks && cbr; ++chunk) {
+    for (std::size_t level = 0; level < levels && cbr; ++level) {
+      cbr = manifest.chunk_kilobits(chunk, level) ==
+            manifest.chunk_kilobits(0, level);
+    }
+  }
+  cap_line_.assign(chunks * levels, kInf);
+  for (std::size_t rest = 1; rest < chunks && cbr; ++rest) {
+    const double r = static_cast<double>(rest);
+    const double s = 1.0 - lambda / r;
+    if (!(s > 0.0)) continue;
+    for (std::size_t level = 0; level < levels; ++level) {
+      double bound = -kInf;
+      for (std::size_t m = 0; m < levels; ++m) {
+        const double rate =
+            manifest.chunk_kilobits(0, m) / manifest.chunk_duration_s();
+        const double climb = r * (level_quality_[m] - s * rate) -
+                             switch_cost_[m * levels + level];
+        bound = std::max(bound, climb);
+      }
+      cap_line_[rest * levels + level] = bound;
+    }
+  }
 }
 
 HorizonSolution HorizonSolver::solve(const HorizonProblem& problem) const {
@@ -137,22 +146,36 @@ HorizonSolution HorizonSolver::solve(const HorizonProblem& problem,
   // (switching and mu_event only subtract). That is a line in b' per depth;
   // two of them are kept, for t = 1 and for t_low = C_0 / (mu * L) capped at
   // 1, where C_0 is the first forecast: for a CBR ladder under the identity
-  // quality and a flat forecast every q_m - mu * t * d_m vanishes at t_low,
-  // the only breakpoint of the convex bound in t. With mu = 0 the cap is
-  // sum max q, never below rest_bound_, so its lines stay +inf.
+  // quality and a flat forecast every q_m - mu * t * d_m vanishes at t_low.
+  // With mu = 0 the cap is sum max q, never below rest_bound_, so its lines
+  // stay +inf.
+  // The switch-aware cap line keeps the switching. On a CBR ladder under a
+  // flat forecast C < mu * L, t = s * C / (mu * L) lies in [0, 1] for every
+  // s in [0, 1] and turns mu * t * d_{j,m} into s * R_m for every chunk, so
+  // each chunk earns the same relaxed reward and the best relaxed path
+  // climbs once: the chunks are worth at most cap_line_[r][level] +
+  // s * (C / L) * (b' + (r - 1) * L), with s = 1 - lambda / r.
   // The float slack is 1e-9 of every magnitude a remaining step can round:
   // the rest_bound_ terms, mu_event, mu times the chunk's longest download
   // (rebuffering) and mu times the buffer, which is below b' + r * L. A
   // buffer's rounding carries into every later rebuffer, so the error
   // grows like r^2 * 2^-53 of those magnitudes: covered below ~10^3 chunks.
+  // The line's own terms are smaller than these (R_m < mu * d_m and
+  // C / L < mu where it applies), so it takes the same slack.
   const bool capped = w.mu > 0.0;
+  const double first_forecast = problem.predicted_kbps[0];
   const double t_low =
-      capped ? std::min(1.0, problem.predicted_kbps[0] /
-                                 (w.mu * chunk_duration))
-             : 0.0;
+      capped ? std::min(1.0, first_forecast / (w.mu * chunk_duration)) : 0.0;
+  // The cap line's per-solve conditions; a VBR ladder and lambda >= r
+  // leave cap_line_ at +inf instead.
+  bool line_applies = first_forecast < w.mu * chunk_duration;
+  for (std::size_t i = 1; i < horizon && line_applies; ++i) {
+    line_applies = problem.predicted_kbps[i] == first_forecast;
+  }
   constexpr double kInf = std::numeric_limits<double>::infinity();
   ws.download_s_.resize(horizon * levels);
-  ws.cap_.assign(horizon, Workspace::CapLines{kInf, kInf});
+  ws.cap_.assign(horizon, Workspace::CapLines{kInf, kInf, kInf, 0.0});
+  double chunk_slack = 0.0;
   for (std::size_t depth = 0; depth < horizon; ++depth) {
     const std::size_t chunk = problem.first_chunk + depth;
     const double forecast = problem.predicted_kbps[depth];
@@ -162,6 +185,10 @@ HorizonSolution HorizonSolver::solve(const HorizonProblem& problem,
     for (std::size_t level = 0; level < levels; ++level) {
       const double download_s =
           manifest.chunk_kilobits(chunk, level) / forecast;
+      if (!std::isfinite(download_s)) {
+        throw std::invalid_argument(
+            "HorizonProblem: forecast makes a download time infinite");
+      }
       ws.download_s_[depth * levels + level] = download_s;
       if (capped) {
         const double q = level_quality_[level];
@@ -171,13 +198,14 @@ HorizonSolution HorizonSolver::solve(const HorizonProblem& problem,
       }
     }
     if (capped) {
-      const double slack =
-          kBoundSlack * (step_scale_ + w.mu_event + w.mu * longest);
-      const Workspace::CapLines terms{best_low + slack, best_high + slack};
+      // Under a flat forecast on a CBR ladder every chunk's slack is equal.
+      chunk_slack = kBoundSlack * (step_scale_ + w.mu_event + w.mu * longest);
+      const double low = best_low + chunk_slack;
+      const double high = best_high + chunk_slack;
       // A chunk whose terms overflow leaves the cap at +inf for every depth
       // before it (the switch-aware bound still applies).
-      if (std::isfinite(terms.low) && std::isfinite(terms.high)) {
-        ws.cap_[depth] = terms;
+      if (std::isfinite(low) && std::isfinite(high)) {
+        ws.cap_[depth] = Workspace::CapLines{low, high, kInf, 0.0};
       }
     }
   }
@@ -186,7 +214,7 @@ HorizonSolution HorizonSolver::solve(const HorizonProblem& problem,
   double slope_low = 0.0;
   double slope_high = 0.0;
   if (capped) {
-    Workspace::CapLines sum{0.0, 0.0};
+    Workspace::CapLines sum{0.0, 0.0, 0.0, 0.0};
     Workspace::CapLines next_chunk = ws.cap_[last];
     for (std::size_t depth = last; depth-- > 0;) {
       sum.low += next_chunk.low;
@@ -195,19 +223,18 @@ HorizonSolution HorizonSolver::solve(const HorizonProblem& problem,
       const double rest = static_cast<double>(last - depth);
       const double reach = (rest - 1.0) * chunk_duration;
       const double slack = kBoundSlack * (w.mu * rest * chunk_duration + 1.0);
-      ws.cap_[depth] = Workspace::CapLines{
-          sum.low + w.mu * t_low * reach + slack,
-          sum.high + w.mu * reach + slack};
+      Workspace::CapLines& cap = ws.cap_[depth];
+      cap.low = sum.low + w.mu * t_low * reach + slack;
+      cap.high = sum.high + w.mu * reach + slack;
+      if (line_applies) {
+        const double rate = (1.0 - w.lambda / rest) * first_forecast /
+                            chunk_duration;
+        cap.line = rate * reach + rest * chunk_slack + slack;
+        cap.line_slope = rate + w.mu * kBoundSlack;
+      }
     }
     slope_low = w.mu * (t_low + kBoundSlack);
     slope_high = w.mu * (1.0 + kBoundSlack);
-  }
-  // Dominance sets for every depth but the last (see the leaf loop).
-  if (ws.frontier_.size() < last * levels) {
-    ws.frontier_.resize(last * levels);
-  }
-  for (std::size_t i = 0; i < last * levels; ++i) {
-    ws.frontier_[i].entries.clear();
   }
   ws.frames_.resize(horizon);
   ws.current_levels_.resize(horizon);
@@ -277,9 +304,8 @@ HorizonSolution HorizonSolver::solve(const HorizonProblem& problem,
 
     if (depth == last) {
       // Leaves. With no chunks left the bound test is the acceptance test
-      // itself: a leaf survives it exactly when it beats the incumbent (or
-      // ties the provisional hint), and then becomes the incumbent. So a
-      // dominance set here could never reject a surviving leaf.
+      // itself: a leaf is kept exactly when it beats the incumbent (or ties
+      // the provisional hint), and then becomes the incumbent.
       for (std::size_t i = 0; i < levels; ++i) {
         const std::size_t level = levels - 1 - i;
         const double rebuffer =
@@ -298,8 +324,8 @@ HorizonSolution HorizonSolver::solve(const HorizonProblem& problem,
       nodes_expanded += levels;
     } else {
       const double* bounds = &rest_bound_[(last - depth) * levels];
+      const double* lines = &cap_line_[(last - depth) * levels];
       const Workspace::CapLines cap = ws.cap_[depth];
-      Workspace::Frontier* frontiers = &ws.frontier_[depth * levels];
       bool descended = false;
       while (frame.next_child < levels) {
         const std::size_t level = levels - 1 - frame.next_child++;
@@ -314,24 +340,20 @@ HorizonSolution HorizonSolver::solve(const HorizonProblem& problem,
         const double next_value =
             frame.value + step_value(level, rebuffer, prev_level, has_prev);
 
-        // Admissible bound: the switch-aware one or the throughput cap,
-        // whichever is tighter (its slack grows with the running value,
-        // whose rounding the remaining additions inherit). While the
-        // incumbent is the provisional hint, branches that could *tie* it
-        // survive so tie-breaking matches the cold solve exactly.
+        // Admissible bound: the switch-aware one, the throughput cap or the
+        // switch-aware cap line, whichever is tightest (its slack grows with
+        // the running value, whose rounding the remaining additions
+        // inherit). While the incumbent is the provisional hint, branches
+        // that could *tie* it survive so tie-breaking matches the cold solve
+        // exactly.
         const double remaining =
             std::min({bounds[level], cap.low + slope_low * next_buffer,
-                      cap.high + slope_high * next_buffer});
+                      cap.high + slope_high * next_buffer,
+                      lines[level] + cap.line + cap.line_slope * next_buffer});
         const double optimistic =
             next_value + kBoundSlack * std::abs(next_value) + remaining;
         if (search_found ? optimistic <= best_value
                          : optimistic < best_value) {
-          continue;
-        }
-
-        // Dominance: a previously expanded branch reached this (depth,
-        // level) with at least as much buffer and value.
-        if (!frontiers[level].insert(next_buffer, next_value)) {
           continue;
         }
 

@@ -24,7 +24,9 @@ struct HorizonProblem {
   bool has_prev = false;
 
   /// Forecast throughput for each horizon chunk, kbps; its length defines
-  /// the horizon N. All entries must be > 0.
+  /// the horizon N. Every entry must be > 0 and large enough that every
+  /// rung's download time (chunk size over forecast) is finite: a denormal
+  /// forecast overflows it, and solve() throws std::invalid_argument.
   std::span<const double> predicted_kbps;
 
   /// Index of the first horizon chunk in the manifest (for VBR sizes).
@@ -60,29 +62,37 @@ struct HorizonSolution {
 /// Exact solver for HorizonProblem.
 ///
 /// Depth-first branch-and-bound over the |R|^N sequence space, levels tried
-/// from highest quality down, with two exact prunings that leave the result
-/// optimal:
-///  - admissible bound: a branch whose value plus an upper bound on the
-///    remaining chunks cannot beat the incumbent is cut. The bound is the
-///    lower of two. Switch-aware: once a level with quality q is chosen,
-///    `rest` more chunks whose best rung has quality m are worth at most
+/// from highest quality down, with one exact pruning that leaves the result
+/// optimal: a branch whose value plus an upper bound on the remaining
+/// chunks cannot beat the incumbent is cut. The bound is the least of
+/// three, each admissible:
+///  - switch-aware: once a level with quality q is chosen, `rest` more
+///    chunks whose best rung has quality m are worth at most
 ///    rest * m - lambda * (m - q)+ (reaching m from q costs at least that
 ///    much switching; rebuffering only subtracts), maximized over rungs m
-///    and precomputed per (rest, level) per solver. Throughput cap: the
-///    remaining chunks rebuffer at least sum d - b' - (rest - 1) * L after
-///    a node whose buffer is b', which caps their worth by a line in b'
-///    per depth, two lines precomputed per solve (see solve());
-///  - dominance: at a given (depth, level) a partial solution with both a
-///    lower buffer and a lower accumulated objective than a previously seen
-///    one can be discarded.
+///    and precomputed per (rest, level) per solver;
+///  - throughput cap: the remaining chunks rebuffer at least
+///    sum d - b' - (rest - 1) * L after a node whose buffer is b', which
+///    caps their worth by a line in b' per depth, two lines set up per
+///    solve (see solve());
+///  - switch-aware cap line: on a CBR ladder under a flat forecast
+///    C < mu * L every remaining chunk earns the same relaxed reward, so
+///    the best relaxed path climbs once; one more line in b', its
+///    level-dependent part precomputed per (rest, level) per solver.
 /// The bound carries a relative float slack (1e-9 of the running value's
 /// and the remaining steps' magnitudes), so it also holds for path values
-/// summed step by step in floating point. At the last depth no bound
-/// is needed: a leaf is kept exactly when it beats the incumbent, so the
-/// last depth keeps no dominance set either (it could never reject a leaf
-/// that is kept). For the paper's configuration (5 levels, N = 5) the raw
-/// space is 3125 sequences; with pruning the solver comfortably handles the
-/// Fig. 12b sweeps (N up to 9) and ladders of 10+ levels.
+/// summed step by step in floating point. At the last depth no bound is
+/// needed: a leaf is kept exactly when it beats the incumbent. For the
+/// paper's configuration (5 levels, N = 5) the raw space is 3125
+/// sequences; with pruning the solver handles the Fig. 12b sweeps (N up to
+/// 9) and flat forecasts on ladders of 10+ levels. It keeps no dominance
+/// sets: one cuts only a prefix whose buffer and value are at most those of
+/// a prefix expanded earlier at the same (depth, level), whose subtree
+/// already holds a completion at least as good. They paid for themselves
+/// only under per-chunk forecasts at N = 9 on 7+ rungs (cold solves,
+/// geometric 350-3000 kbps ladders: 272 -> 340 us per solve on 7 rungs,
+/// 0.88 -> 2.61 ms on 10, 1.92 -> 6.69 ms on 12 without them), a shape
+/// that no workload, bench, test or tool runs.
 ///
 /// Warm starting (HorizonProblem::warm_hint) seeds the incumbent with a
 /// known level sequence. The incumbent is held *provisional* until the
@@ -101,8 +111,8 @@ struct HorizonSolution {
 /// steady state (buffers keep their high-water capacity).
 class HorizonSolver {
  public:
-  /// Reusable per-solve scratch: flat per-(depth, level) arrays of
-  /// precomputed download times, the dominance frontier, the search stack
+  /// Reusable per-solve scratch: the flat per-(depth, level) array of
+  /// precomputed download times, the per-depth cap lines, the search stack
   /// and the level sequences. A Workspace may be reused freely across
   /// solvers and problems; it must not be shared between concurrent solves.
   class Workspace {
@@ -111,25 +121,6 @@ class HorizonSolver {
 
    private:
     friend class HorizonSolver;
-
-    /// One non-dominated (buffer, value) point of a dominance set.
-    struct Entry {
-      double buffer_s = 0.0;
-      double value = 0.0;
-    };
-
-    /// Pareto frontier at one (depth, level) node, kept sorted by buffer
-    /// descending (hence value ascending), so the dominance test is a
-    /// binary search + one comparison instead of a linear scan.
-    struct Frontier {
-      std::vector<Entry> entries;
-
-      /// Returns false if (buffer, value) is dominated by an existing
-      /// entry; otherwise inserts it (dropping entries it dominates) and
-      /// returns true. Keeps exactly the non-dominated set, so accept /
-      /// reject decisions are identical to the unsorted formulation.
-      bool insert(double buffer, double value);
-    };
 
     /// One depth of the explicit search stack: the buffer and objective
     /// on entering the depth, and the next child (0 = highest level) to try.
@@ -140,14 +131,17 @@ class HorizonSolver {
     };
 
     /// Intercepts of the throughput cap's two lines in the post-append
-    /// buffer (for t = t_low and t = 1; see solve()), bounding what the
-    /// chunks after a node at one depth can add; +inf where it cannot bind.
+    /// buffer (for t = t_low and t = 1; see solve()), and the per-solve
+    /// intercept and slope of the switch-aware cap line, bounding what the
+    /// chunks after a node at one depth can add; +inf where they cannot
+    /// bind.
     struct CapLines {
       double low = 0.0;
       double high = 0.0;
+      double line = 0.0;
+      double line_slope = 0.0;
     };
 
-    std::vector<Frontier> frontier_;  ///< [depth * levels + level]
     std::vector<double> download_s_;  ///< [depth * levels + level]
     std::vector<CapLines> cap_;       ///< [depth]
     std::vector<Frame> frames_;       ///< [depth]
@@ -179,6 +173,12 @@ class HorizonSolver {
   /// lambda * (q_m - q_level)+, plus its float slack, for every rest below
   /// the manifest's chunk count (a horizon never exceeds it).
   std::vector<double> rest_bound_;
+  /// [rest * levels + level]: max over rungs m of
+  /// rest * (q_m - s * R_m) - lambda * |q_m - q_level| for s = 1 - lambda /
+  /// rest and R_m a rung's chunk size over the chunk duration: the
+  /// level-dependent part of the switch-aware cap line (see solve()). +inf
+  /// where the line cannot apply: a VBR ladder, or lambda >= rest.
+  std::vector<double> cap_line_;
   /// Largest |q| plus largest switching cost: the per-step magnitude that
   /// scales the bounds' float slack.
   double step_scale_ = 0.0;

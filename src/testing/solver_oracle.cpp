@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <stdexcept>
 #include <vector>
 
 namespace abr::testing {
@@ -15,6 +16,22 @@ core::HorizonSolution exhaustive_reference(
   const std::size_t horizon =
       std::min(problem.predicted_kbps.size(),
                manifest.chunk_count() - problem.first_chunk);
+
+  // The forecasts HorizonSolver::solve rejects: a plan scored from an
+  // infinite download time has no well-defined objective.
+  for (std::size_t depth = 0; depth < horizon; ++depth) {
+    const double forecast = problem.predicted_kbps[depth];
+    if (!(forecast > 0.0)) {
+      throw std::invalid_argument("HorizonProblem: non-positive forecast");
+    }
+    const std::size_t chunk = problem.first_chunk + depth;
+    for (std::size_t level = 0; level < levels; ++level) {
+      if (!std::isfinite(manifest.chunk_kilobits(chunk, level) / forecast)) {
+        throw std::invalid_argument(
+            "HorizonProblem: forecast makes a download time infinite");
+      }
+    }
+  }
 
   core::HorizonSolution best;
   best.objective = -std::numeric_limits<double>::infinity();

@@ -13,7 +13,9 @@ namespace abr::testing {
 /// that order wins, the same sequence branch-and-bound returns. Every
 /// arithmetic expression mirrors HorizonSolver::solve term for term, so a
 /// caller can demand `==` on levels and objective, not a tolerance. The
-/// warm-start hint is ignored and nodes_expanded stays 0.
+/// warm-start hint is ignored and nodes_expanded stays 0. Throws
+/// std::invalid_argument on a forecast solve() rejects: one that is not
+/// positive or that makes some rung's download time infinite.
 core::HorizonSolution exhaustive_reference(const media::VideoManifest& manifest,
                                            const qoe::QoeModel& qoe,
                                            const core::HorizonProblem& problem);

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "test_helpers.hpp"
+#include "testing/solver_oracle.hpp"
 #include "util/rng.hpp"
 
 namespace abr::core {
@@ -18,8 +19,9 @@ namespace {
 double brute_force_objective(const media::VideoManifest& manifest,
                              const qoe::QoeModel& qoe,
                              const HorizonProblem& problem) {
-  const std::size_t horizon = std::min(
-      problem.predicted_kbps.size(), manifest.chunk_count() - problem.first_chunk);
+  const std::size_t horizon =
+      std::min(problem.predicted_kbps.size(),
+               manifest.chunk_count() - problem.first_chunk);
   const qoe::QoeWeights& w = qoe.weights();
   double best = -std::numeric_limits<double>::infinity();
 
@@ -153,6 +155,41 @@ TEST(HorizonSolver, RejectsInvalidProblems) {
   EXPECT_THROW(solver.solve(bad_forecast), std::invalid_argument);
 }
 
+/// A denormal forecast passes the > 0 check but makes every download time
+/// overflow to +inf: with mu = 0 each step would score q - 0 * inf = NaN,
+/// with mu > 0 every plan would score -inf. Both the solver (cold, warm,
+/// with and without a Workspace) and the exhaustive reference reject it.
+TEST(HorizonSolver, RejectsForecastsWhoseDownloadTimesOverflow) {
+  const auto manifest = media::VideoManifest::envivio_default();
+  for (const double mu : {0.0, 3000.0}) {
+    qoe::QoeWeights weights = qoe::QoeWeights::balanced();
+    weights.mu = mu;
+    weights.mu_startup = mu;
+    const qoe::QoeModel qoe(media::QualityFunction::identity(), weights);
+    const HorizonSolver solver(manifest, qoe);
+    HorizonSolver::Workspace workspace;
+    for (const double kbps : {5e-324, 1e-320}) {
+      const std::vector<double> forecast(5, kbps);
+      HorizonProblem problem;
+      problem.buffer_s = 10.0;
+      problem.prev_level = 2;
+      problem.has_prev = true;
+      problem.predicted_kbps = forecast;
+      EXPECT_THROW(solver.solve(problem), std::invalid_argument)
+          << "mu " << mu << " forecast " << kbps;
+      EXPECT_THROW(solver.solve(problem, workspace), std::invalid_argument);
+      EXPECT_THROW(testing::exhaustive_reference(manifest, qoe, problem),
+                   std::invalid_argument);
+
+      const std::vector<std::size_t> hint(5, 0);
+      problem.warm_hint = hint;
+      EXPECT_THROW(solver.solve(problem), std::invalid_argument)
+          << "warm, mu " << mu << " forecast " << kbps;
+      EXPECT_THROW(solver.solve(problem, workspace), std::invalid_argument);
+    }
+  }
+}
+
 TEST(HorizonSolver, MatchesBruteForceOnRandomInstances) {
   util::Rng rng(71);
   const auto qoe = testing::balanced_qoe();
@@ -169,8 +206,8 @@ TEST(HorizonSolver, MatchesBruteForceOnRandomInstances) {
 
     HorizonProblem problem;
     problem.buffer_s = rng.uniform(0.0, 30.0);
-    problem.prev_level =
-        static_cast<std::size_t>(rng.uniform_int(0, static_cast<std::int64_t>(levels) - 1));
+    problem.prev_level = static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(levels) - 1));
     problem.has_prev = rng.uniform() < 0.9;
     problem.predicted_kbps = forecast;
     problem.first_chunk = static_cast<std::size_t>(rng.uniform_int(0, 7));

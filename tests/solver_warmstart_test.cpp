@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <stdexcept>
@@ -308,6 +309,151 @@ TEST(SolverWarmStart, ThroughputCapIsExactWhereItBinds) {
   }
 }
 
+/// The switch-aware cap line applies on a CBR ladder under a flat forecast
+/// C < mu * L, where every remaining chunk earns the same relaxed reward.
+/// Against the exhaustive reference, cold and under four hints, across the
+/// four quality families (`saturating` and `piecewise` with flat runs give
+/// rungs of equal quality), lambda in {0, 0.5, 1, 3, 4} (lambda >= the
+/// remaining chunks skips the line), mu from 30 to 30 000 with and without
+/// mu_event, buffers empty and full, capacities below one chunk, C just
+/// below, at, just above and well above mu * L, and horizons 1-7 on 2-5
+/// rungs. One trial in eight takes a VBR ladder and one in eight a forecast
+/// that rises after its first entry: the line must not apply there.
+TEST(SolverWarmStart, SwitchAwareCapLineIsExactOnFlatForecasts) {
+  util::Rng rng(96);
+  HorizonSolver::Workspace workspace;
+  const double lambdas[] = {0.0, 0.5, 1.0, 3.0, 4.0};
+
+  for (int trial = 0; trial < 2000; ++trial) {
+    const std::size_t levels = static_cast<std::size_t>(rng.uniform_int(2, 5));
+    const auto ladder = media::VideoManifest::geometric_ladder(
+        rng.uniform(200.0, 500.0), rng.uniform(1500.0, 4000.0), levels);
+    const double lo = ladder.front();
+    const double hi = ladder.back();
+    const double chunk_s = rng.uniform() < 0.5 ? 2.0 : 4.0;
+    // VBR: every chunk after the first scaled down on its own, so a line
+    // taken from one chunk's sizes would undercount the others' rewards.
+    const bool vbr = trial % 8 == 5;
+    std::vector<std::vector<double>> sizes(12);
+    for (std::size_t chunk = 0; chunk < sizes.size(); ++chunk) {
+      for (const double kbps : ladder) {
+        const double scale = vbr && chunk > 0 ? rng.uniform(0.25, 1.0) : 1.0;
+        sizes[chunk].push_back(chunk_s * kbps * scale);
+      }
+    }
+    const auto manifest =
+        media::VideoManifest::from_sizes(chunk_s, ladder, std::move(sizes));
+
+    media::QualityFunction quality = media::QualityFunction::identity();
+    switch (trial % 4) {
+      case 1:
+        quality = media::QualityFunction::logarithmic(
+            rng.uniform(0.5, 1.5) * lo, 1000.0);
+        break;
+      case 2:
+        quality = media::QualityFunction::device_saturating(
+            rng.uniform(lo, hi), rng.uniform() < 0.5 ? 0.0 : 0.5);
+        break;
+      case 3:
+        quality = media::QualityFunction::piecewise(
+            {{lo, 300.0}, {0.5 * (lo + hi), 300.0}, {hi, 2700.0}});
+        break;
+      default:
+        break;
+    }
+    qoe::QoeWeights weights;
+    weights.lambda = lambdas[(trial / 4) % 5];
+    weights.mu = 30.0 * std::pow(1000.0, rng.uniform());
+    weights.mu_startup = weights.mu;
+    weights.mu_event = (trial / 20) % 2 == 1 ? rng.uniform(0.0, 2000.0) : 0.0;
+    const qoe::QoeModel qoe(quality, weights);
+    HorizonSolver solver(manifest, qoe);
+
+    const std::size_t horizon =
+        static_cast<std::size_t>(rng.uniform_int(1, 7));
+    const double knee = weights.mu * chunk_s;  // C = mu * L
+    double flat = 0.0;
+    switch (static_cast<int>(rng.uniform_int(0, 4))) {
+      case 0:
+        flat = std::nextafter(knee, 0.0);
+        break;
+      case 1:
+        flat = knee;
+        break;
+      case 2:
+        flat = std::nextafter(knee, 2.0 * knee);
+        break;
+      case 3:
+        flat = rng.uniform(1.0, 3.0) * knee;
+        break;
+      default:
+        flat = rng.uniform(0.3 * lo, 1.5 * hi);
+        break;
+    }
+    std::vector<double> forecast(horizon, flat);
+    if (trial % 8 == 3) {
+      // Rising after the first entry: a line taken from the first forecast
+      // would undercount every later chunk's reward.
+      for (std::size_t i = 1; i < horizon; ++i) {
+        forecast[i] *= rng.uniform(1.0, 3.0);
+      }
+    }
+
+    HorizonProblem base;
+    switch (static_cast<int>(rng.uniform_int(0, 2))) {
+      case 0:
+        base.buffer_capacity_s = rng.uniform(0.1, 1.0) * chunk_s;
+        break;
+      case 1:
+        base.buffer_capacity_s = rng.uniform(1.0, 3.0) * chunk_s;
+        break;
+      default:
+        base.buffer_capacity_s = 30.0;
+        break;
+    }
+    switch (static_cast<int>(rng.uniform_int(0, 2))) {
+      case 0:
+        base.buffer_s = 0.0;
+        break;
+      case 1:
+        base.buffer_s = base.buffer_capacity_s;
+        break;
+      default:
+        base.buffer_s = rng.uniform(0.0, base.buffer_capacity_s);
+        break;
+    }
+    base.prev_level = static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(levels) - 1));
+    base.has_prev = rng.uniform() < 0.9;
+    base.predicted_kbps = forecast;
+    base.first_chunk = static_cast<std::size_t>(rng.uniform_int(0, 8));
+
+    const HorizonSolution reference =
+        testing::exhaustive_reference(manifest, qoe, base);
+    const HorizonSolution cold = solver.solve(base, workspace);
+    ASSERT_EQ(cold.levels, reference.levels) << "trial " << trial;
+    ASSERT_EQ(cold.objective, reference.objective) << "trial " << trial;
+
+    std::vector<std::size_t> noise(cold.levels.size());
+    for (std::size_t& level : noise) {
+      level = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(levels) - 1));
+    }
+    const std::vector<std::vector<std::size_t>> hints = {
+        cold.levels, noise, std::vector<std::size_t>(1, levels - 1),
+        std::vector<std::size_t>(1, 0)};
+    for (std::size_t h = 0; h < hints.size(); ++h) {
+      HorizonProblem warm = base;
+      warm.warm_hint = hints[h];
+      const HorizonSolution solution = solver.solve(warm, workspace);
+      ASSERT_EQ(solution.levels, reference.levels)
+          << "trial " << trial << " hint " << h;
+      ASSERT_EQ(solution.objective, reference.objective)
+          << "trial " << trial << " hint " << h;
+    }
+  }
+}
+
 TEST(SolverWarmStart, OptimalHintNeverExpandsMoreNodes) {
   util::Rng rng(92);
   const auto qoe = testing::balanced_qoe();
@@ -342,8 +488,8 @@ TEST(SolverWarmStart, OptimalHintNeverExpandsMoreNodes) {
 
 TEST(SolverWarmStart, WorkspaceReuseMatchesFreshWorkspace) {
   // One workspace reused across solvers, ladders, and horizon sizes must
-  // behave exactly like a fresh workspace per solve (stale frontier or
-  // stale precomputed arrays would show up as differing solutions).
+  // behave exactly like a fresh workspace per solve (stale precomputed
+  // arrays would show up as differing solutions).
   util::Rng rng(93);
   const auto qoe = testing::balanced_qoe();
   HorizonSolver::Workspace reused;
