@@ -176,6 +176,10 @@ HorizonSolution HorizonSolver::solve(const HorizonProblem& problem,
   ws.download_s_.resize(horizon * levels);
   ws.cap_.assign(horizon, Workspace::CapLines{kInf, kInf, kInf, 0.0});
   double chunk_slack = 0.0;
+  // Each chunk's step is at most step_scale_ + mu_event + mu * its longest
+  // download in magnitude; while these sum to a finite total, so does every
+  // plan's objective.
+  double worst_total = 0.0;
   for (std::size_t depth = 0; depth < horizon; ++depth) {
     const std::size_t chunk = problem.first_chunk + depth;
     const double forecast = problem.predicted_kbps[depth];
@@ -190,16 +194,18 @@ HorizonSolution HorizonSolver::solve(const HorizonProblem& problem,
             "HorizonProblem: forecast makes a download time infinite");
       }
       ws.download_s_[depth * levels + level] = download_s;
+      longest = std::max(longest, download_s);
       if (capped) {
         const double q = level_quality_[level];
         best_low = std::max(best_low, q - w.mu * t_low * download_s);
         best_high = std::max(best_high, q - w.mu * download_s);
-        longest = std::max(longest, download_s);
       }
     }
+    const double worst_step = step_scale_ + w.mu_event + w.mu * longest;
+    worst_total += worst_step;
     if (capped) {
       // Under a flat forecast on a CBR ladder every chunk's slack is equal.
-      chunk_slack = kBoundSlack * (step_scale_ + w.mu_event + w.mu * longest);
+      chunk_slack = kBoundSlack * worst_step;
       const double low = best_low + chunk_slack;
       const double high = best_high + chunk_slack;
       // A chunk whose terms overflow leaves the cap at +inf for every depth
@@ -208,6 +214,10 @@ HorizonSolution HorizonSolver::solve(const HorizonProblem& problem,
         ws.cap_[depth] = Workspace::CapLines{low, high, kInf, 0.0};
       }
     }
+  }
+  if (!std::isfinite(worst_total)) {
+    throw std::invalid_argument(
+        "HorizonProblem: forecast makes the rebuffer penalty overflow");
   }
   // Suffix sums turn cap_[depth] into the intercepts for the chunks after
   // `depth`; cap_[last] is never read (the leaves take the exact test).

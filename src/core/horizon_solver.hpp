@@ -25,8 +25,11 @@ struct HorizonProblem {
 
   /// Forecast throughput for each horizon chunk, kbps; its length defines
   /// the horizon N. Every entry must be > 0 and large enough that every
-  /// rung's download time (chunk size over forecast) is finite: a denormal
-  /// forecast overflows it, and solve() throws std::invalid_argument.
+  /// rung's download time (chunk size over forecast) is finite, and that
+  /// the horizon's worst steps -- the best |quality| and the largest switch
+  /// penalty, plus mu_event and mu times the chunk's longest download --
+  /// sum to a finite total: a denormal forecast overflows the first, one of
+  /// ~1e-303 kbps the second, and solve() throws std::invalid_argument.
   std::span<const double> predicted_kbps;
 
   /// Index of the first horizon chunk in the manifest (for VBR sizes).

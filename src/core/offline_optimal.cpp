@@ -28,6 +28,7 @@ OfflineOptimalPlanner::OfflineOptimalPlanner(
     const media::VideoManifest& manifest, const qoe::QoeModel& qoe,
     const sim::SessionConfig& session, PlannerConfig config)
     : manifest_(&manifest), qoe_(&qoe), session_(session), config_(config) {
+  sim::Playback{session_};  // rejects a session no player can run
   if (config_.beam_width == 0) {
     throw std::invalid_argument("PlannerConfig: zero beam width");
   }
@@ -65,97 +66,61 @@ double OfflineOptimalPlanner::chunk_kilobits(std::size_t chunk,
   return manifest_->chunk_duration_s() * ladder_[level] * complexity_[chunk];
 }
 
-OfflineOptimalPlanner::StepOutcome OfflineOptimalPlanner::advance(
-    const trace::ThroughputTrace& trace, std::size_t chunk, std::size_t level,
-    double start_s, double buffer_s, bool playing, double startup_s) const {
-  const double chunk_duration = manifest_->chunk_duration_s();
-  const double capacity = session_.buffer_capacity_s;
-  const double fixed_delay = session_.fixed_startup_delay_s;
+/// The session clock and the player after a plan's chunks so far, with the
+/// plan's Eq. (5) value and its stall total, both summed in chunk order.
+struct OfflineOptimalPlanner::Node {
+  double t_s;
+  sim::Playback playback;
+  double value;
+  double rebuffer_s;
+  std::uint16_t level;  ///< the last chunk's
+};
 
-  double t = start_s;
-  double buffer = buffer_s;
-  double rebuffer = 0.0;
+OfflineOptimalPlanner::Node OfflineOptimalPlanner::step(
+    const trace::ThroughputTrace& trace, const Node& from, std::size_t chunk,
+    std::size_t level) const {
+  const qoe::QoeWeights& w = qoe_->weights();
+  Node to = from;
+  double rebuffer = to.playback.start_if_due(from.t_s);
+  const double end_s =
+      trace.transfer_end_time(chunk_kilobits(chunk, level), from.t_s);
+  rebuffer += to.playback.download(end_s - from.t_s, end_s,
+                                   manifest_->chunk_duration_s());
+  const sim::ChunkWait wait = to.playback.wait(end_s);
+  to.t_s = end_s + wait.idle_s + wait.drain_s;
+  if (chunk + 1 == manifest_->chunk_count()) to.playback.finish();
 
-  const auto drain = [&buffer, &rebuffer](double seconds) {
-    rebuffer += std::max(0.0, seconds - buffer);
-    buffer = std::max(0.0, buffer - seconds);
-  };
-
-  // Fixed-delay playback may begin while idle between chunks.
-  if (!playing && session_.startup_policy == sim::StartupPolicy::kFixedDelay &&
-      t >= fixed_delay) {
-    playing = true;
-    startup_s = fixed_delay;
-    drain(t - fixed_delay);
+  double value = from.value + ladder_quality_[level] - w.mu * rebuffer -
+                 (rebuffer > 0.0 ? w.mu_event : 0.0);
+  if (chunk > 0) {
+    value -= w.lambda * std::abs(ladder_quality_[level] -
+                                 ladder_quality_[from.level]);
   }
-
-  const double size_kb = chunk_kilobits(chunk, level);
-  const double end_s = trace.transfer_end_time(size_kb, t);
-  const double duration = end_s - t;
-  t = end_s;
-
-  if (playing) {
-    drain(duration);
-  } else if (session_.startup_policy == sim::StartupPolicy::kFixedDelay &&
-             t > fixed_delay) {
-    playing = true;
-    startup_s = fixed_delay;
-    drain(t - fixed_delay);
+  // Charge the startup penalty the moment playback begins so the beam's
+  // dedup compares complete values.
+  if (session_.include_startup_in_qoe && !from.playback.playing() &&
+      to.playback.playing()) {
+    value -= w.mu_startup * to.playback.startup_delay_s();
   }
-  buffer += chunk_duration;
-
-  if (!playing) {
-    switch (session_.startup_policy) {
-      case sim::StartupPolicy::kFirstChunk:
-        playing = true;
-        startup_s = t;
-        break;
-      case sim::StartupPolicy::kBufferThreshold:
-        if (buffer >= session_.startup_buffer_threshold_s) {
-          playing = true;
-          startup_s = t;
-        }
-        break;
-      case sim::StartupPolicy::kFixedDelay:
-        break;
-    }
-  }
-
-  if (buffer > capacity) {
-    if (!playing) {
-      // Only reachable with a fixed delay later than now: idle until Ts.
-      const double idle = std::max(0.0, fixed_delay - t);
-      t += idle;
-      playing = true;
-      startup_s = fixed_delay;
-    }
-    t += buffer - capacity;
-    buffer = capacity;
-  }
-
-  return {t, buffer, rebuffer, playing, startup_s};
+  to.value = value;
+  to.rebuffer_s = from.rebuffer_s + rebuffer;
+  to.level = static_cast<std::uint16_t>(level);
+  return to;
 }
 
 PlanResult OfflineOptimalPlanner::plan(
     const trace::ThroughputTrace& trace) const {
   const std::size_t chunk_count = manifest_->chunk_count();
   const std::size_t levels = ladder_.size();
-  const qoe::QoeWeights& w = qoe_->weights();
 
   struct State {
-    double t;
-    double buffer;
-    double value;
-    double startup;
-    std::uint32_t parent;     ///< index into the previous step's states
-    std::uint16_t level;      ///< level chosen to reach this state
-    std::uint8_t playing;
-    std::uint8_t has_prev;
+    Node node;
+    std::uint32_t parent;  ///< index into the previous step's states
   };
 
   std::vector<std::vector<State>> steps;
   steps.reserve(chunk_count + 1);
-  steps.push_back({State{0.0, 0.0, 0.0, 0.0, 0, 0, 0, 0}});
+  steps.push_back({State{Node{0.0, sim::Playback(session_), 0.0, 0.0, 0}, 0}});
 
   std::vector<State> next;
   std::unordered_map<std::uint64_t, std::size_t> dedup;
@@ -166,56 +131,31 @@ PlanResult OfflineOptimalPlanner::plan(
     dedup.clear();
 
     for (std::size_t si = 0; si < current.size(); ++si) {
-      const State& s = current[si];
       for (std::size_t level = 0; level < levels; ++level) {
-        const StepOutcome out =
-            advance(trace, k, level, s.t, s.buffer, s.playing != 0,
-                    s.startup);
-        double value = s.value + ladder_quality_[level] -
-                       w.mu * out.rebuffer_s -
-                       (out.rebuffer_s > 0.0 ? w.mu_event : 0.0);
-        if (s.has_prev != 0) {
-          value -= w.lambda *
-                   std::abs(ladder_quality_[level] - ladder_quality_[s.level]);
-        }
-        // Charge the startup penalty the moment playback begins so dedup
-        // compares complete values.
-        if (session_.include_startup_in_qoe && s.playing == 0 && out.playing) {
-          value -= w.mu_startup * out.startup_s;
-        }
-
-        State ns;
-        ns.t = out.end_time_s;
-        ns.buffer = out.buffer_s;
-        ns.value = value;
-        ns.startup = out.startup_s;
-        ns.parent = static_cast<std::uint32_t>(si);
-        ns.level = static_cast<std::uint16_t>(level);
-        ns.playing = out.playing ? 1 : 0;
-        ns.has_prev = 1;
-
+        const State ns{step(trace, current[si].node, k, level),
+                       static_cast<std::uint32_t>(si)};
         const std::uint64_t key = pack_key(
-            static_cast<std::uint32_t>(ns.t / config_.time_quant_s),
-            static_cast<std::uint32_t>(
-                std::min(ns.buffer / config_.buffer_quant_s, 500.0)),
-            level, ns.playing != 0);
+            static_cast<std::uint32_t>(ns.node.t_s / config_.time_quant_s),
+            static_cast<std::uint32_t>(std::min(
+                ns.node.playback.buffer_s() / config_.buffer_quant_s, 500.0)),
+            level, ns.node.playback.playing());
         const auto [it, inserted] = dedup.try_emplace(key, next.size());
         if (inserted) {
           next.push_back(ns);
-        } else if (ns.value > next[it->second].value) {
+        } else if (ns.node.value > next[it->second].node.value) {
           next[it->second] = ns;
         }
       }
     }
 
     if (next.size() > config_.beam_width) {
-      std::nth_element(next.begin(),
-                       next.begin() + static_cast<std::ptrdiff_t>(
-                                          config_.beam_width),
-                       next.end(), [](const State& a, const State& b) {
-                         return a.value > b.value;
+      const auto cut =
+          next.begin() + static_cast<std::ptrdiff_t>(config_.beam_width);
+      std::nth_element(next.begin(), cut, next.end(),
+                       [](const State& a, const State& b) {
+                         return a.node.value > b.node.value;
                        });
-      next.resize(config_.beam_width);
+      next.erase(cut, next.end());
     }
     steps.push_back(next);
   }
@@ -225,7 +165,7 @@ PlanResult OfflineOptimalPlanner::plan(
   assert(!final_states.empty());
   std::size_t best = 0;
   for (std::size_t i = 1; i < final_states.size(); ++i) {
-    if (final_states[i].value > final_states[best].value) best = i;
+    if (final_states[i].node.value > final_states[best].node.value) best = i;
   }
 
   PlanResult result;
@@ -233,37 +173,13 @@ PlanResult OfflineOptimalPlanner::plan(
   std::size_t index = best;
   for (std::size_t k = chunk_count; k-- > 0;) {
     const State& s = steps[k + 1][index];
-    result.bitrates_kbps[k] = ladder_[s.level];
+    result.bitrates_kbps[k] = ladder_[s.node.level];
     index = s.parent;
   }
-  result.qoe = final_states[best].value;
-  result.startup_delay_s = final_states[best].startup;
-
-  // Recompute rebuffer total along the winning path for reporting.
-  double t = 0.0;
-  double buffer = 0.0;
-  bool playing = false;
-  double startup = 0.0;
-  double rebuffer_total = 0.0;
-  index = best;
-  std::vector<std::size_t> levels_path(chunk_count);
-  {
-    std::size_t i = best;
-    for (std::size_t k = chunk_count; k-- > 0;) {
-      levels_path[k] = steps[k + 1][i].level;
-      i = steps[k + 1][i].parent;
-    }
-  }
-  for (std::size_t k = 0; k < chunk_count; ++k) {
-    const StepOutcome out =
-        advance(trace, k, levels_path[k], t, buffer, playing, startup);
-    rebuffer_total += out.rebuffer_s;
-    t = out.end_time_s;
-    buffer = out.buffer_s;
-    playing = out.playing;
-    startup = out.startup_s;
-  }
-  result.total_rebuffer_s = rebuffer_total;
+  const Node& end = final_states[best].node;
+  result.qoe = end.value;
+  result.startup_delay_s = end.playback.startup_delay_s();
+  result.total_rebuffer_s = end.rebuffer_s;
   return result;
 }
 
@@ -277,52 +193,32 @@ PlanResult OfflineOptimalPlanner::plan_exhaustive(
     throw std::invalid_argument(
         "plan_exhaustive: search space too large; use plan()");
   }
-  const qoe::QoeWeights& w = qoe_->weights();
 
-  double best_value = -std::numeric_limits<double>::infinity();
+  const Node start{0.0, sim::Playback(session_), 0.0, 0.0, 0};
+  Node best = start;
+  best.value = -std::numeric_limits<double>::infinity();
   std::vector<std::size_t> best_path;
   std::vector<std::size_t> path(chunk_count);
-  double best_startup = 0.0;
-  double best_rebuffer = 0.0;
 
-  auto search = [&](auto&& self, std::size_t k, double t, double buffer,
-                    bool playing, double startup, double value,
-                    double rebuffer_total, std::size_t prev_level,
-                    bool has_prev) -> void {
+  auto search = [&](auto&& self, const Node& node, std::size_t k) -> void {
     if (k == chunk_count) {
-      if (value > best_value) {
-        best_value = value;
+      if (node.value > best.value) {
+        best = node;
         best_path = path;
-        best_startup = startup;
-        best_rebuffer = rebuffer_total;
       }
       return;
     }
     for (std::size_t level = 0; level < levels; ++level) {
-      const StepOutcome out =
-          advance(trace, k, level, t, buffer, playing, startup);
-      double next_value = value + ladder_quality_[level] -
-                          w.mu * out.rebuffer_s -
-                          (out.rebuffer_s > 0.0 ? w.mu_event : 0.0);
-      if (has_prev) {
-        next_value -= w.lambda * std::abs(ladder_quality_[level] -
-                                          ladder_quality_[prev_level]);
-      }
-      if (session_.include_startup_in_qoe && !playing && out.playing) {
-        next_value -= w.mu_startup * out.startup_s;
-      }
       path[k] = level;
-      self(self, k + 1, out.end_time_s, out.buffer_s, out.playing,
-           out.startup_s, next_value, rebuffer_total + out.rebuffer_s, level,
-           true);
+      self(self, step(trace, node, k, level), k + 1);
     }
   };
-  search(search, 0, 0.0, 0.0, false, 0.0, 0.0, 0.0, 0, false);
+  search(search, start, 0);
 
   PlanResult result;
-  result.qoe = best_value;
-  result.startup_delay_s = best_startup;
-  result.total_rebuffer_s = best_rebuffer;
+  result.qoe = best.value;
+  result.startup_delay_s = best.playback.startup_delay_s();
+  result.total_rebuffer_s = best.rebuffer_s;
   result.bitrates_kbps.reserve(chunk_count);
   for (const std::size_t level : best_path) {
     result.bitrates_kbps.push_back(ladder_[level]);

@@ -44,12 +44,16 @@ struct PlanResult {
 /// paper's CPLEX solve; plan_exhaustive() provides ground truth for small
 /// instances and the test suite verifies the beam matches it.
 ///
-/// The planner replays exactly the PlayerSession buffer dynamics (same
-/// startup policy, Bmax wait, and QoE accounting), so its value is a true
-/// upper bound for any online controller run under the same SessionConfig.
+/// Both searches step sim::Playback, the player's own Eq. (3)-(4) dynamics
+/// (startup policy, Bmax wait, the late fixed-delay rule), and score each
+/// chunk with one Eq. (5) step, so a plan played through PlayerSession
+/// reports the planner's startup delay and rebuffering, and its value is a
+/// true upper bound for any online controller run under the same
+/// SessionConfig.
 class OfflineOptimalPlanner {
  public:
-  /// All referents must outlive the planner.
+  /// All referents must outlive the planner. Throws std::invalid_argument
+  /// for a session config sim::Playback rejects, or a bad PlannerConfig.
   OfflineOptimalPlanner(const media::VideoManifest& manifest,
                         const qoe::QoeModel& qoe,
                         const sim::SessionConfig& session,
@@ -67,18 +71,13 @@ class OfflineOptimalPlanner {
   const std::vector<double>& planning_ladder_kbps() const { return ladder_; }
 
  private:
-  struct StepOutcome {
-    double end_time_s;
-    double buffer_s;
-    double rebuffer_s;
-    bool playing;
-    double startup_s;
-  };
+  /// A partial plan's end state (offline_optimal.cpp).
+  struct Node;
 
-  /// Advances the player dynamics by one chunk at the given level.
-  StepOutcome advance(const trace::ThroughputTrace& trace, std::size_t chunk,
-                      std::size_t level, double start_s, double buffer_s,
-                      bool playing, double startup_s) const;
+  /// Plays `chunk` at `level` after `from` and adds its Eq. (5) step: the
+  /// one transition both searches take.
+  Node step(const trace::ThroughputTrace& trace, const Node& from,
+            std::size_t chunk, std::size_t level) const;
 
   double chunk_kilobits(std::size_t chunk, std::size_t level) const;
 

@@ -52,16 +52,24 @@ double QoeModel::session_qoe(std::span<const double> bitrates_kbps,
   return acc.total();
 }
 
-void QoeModel::Accumulator::add_chunk(double bitrate_kbps, double rebuffer_s) {
+ChunkTerms QoeModel::Accumulator::add_chunk(double bitrate_kbps,
+                                            double rebuffer_s) {
   assert(rebuffer_s >= 0.0);
+  const QoeWeights& w = model_->weights();
   const double q = model_->quality(bitrate_kbps);
+  const double change = has_prev_ ? std::abs(q - prev_quality_) : 0.0;
+  const ChunkTerms terms{
+      q, w.lambda * change,
+      w.mu * rebuffer_s + (rebuffer_s > 0.0 ? w.mu_event : 0.0)};
   quality_sum_ += q;
-  if (has_prev_) smoothness_sum_ += std::abs(q - prev_quality_);
+  smoothness_sum_ += change;
   prev_quality_ = q;
   has_prev_ = true;
   rebuffer_sum_ += rebuffer_s;
   if (rebuffer_s > 0.0) ++rebuffer_events_;
+  chunk_qoe_sum_ += terms.qoe();
   ++chunks_;
+  return terms;
 }
 
 void QoeModel::Accumulator::set_startup_delay(double seconds) {

@@ -39,6 +39,16 @@ enum class QoePreference { kBalanced, kAvoidInstability, kAvoidRebuffering };
 QoeWeights preset_weights(QoePreference preference);
 const char* preference_name(QoePreference preference);
 
+/// One chunk's Eq. (5) terms as the Accumulator charges them (the journal's
+/// and the fleet series' per-chunk attribution).
+struct ChunkTerms {
+  double utility = 0.0;          ///< q(R_k)
+  double switch_penalty = 0.0;   ///< lambda * |q(R_k) - q(R_{k-1})|
+  double rebuffer_charge = 0.0;  ///< mu * stall, plus mu_event if it stalled
+
+  double qoe() const { return utility - switch_penalty - rebuffer_charge; }
+};
+
 /// Evaluates the Eq. (5) objective: quality function q(.) plus weights.
 ///
 /// Two usage modes:
@@ -69,8 +79,9 @@ class QoeModel {
     explicit Accumulator(const QoeModel& model) : model_(&model) {}
 
     /// Adds chunk k with its selected bitrate and the rebuffering incurred
-    /// while downloading it.
-    void add_chunk(double bitrate_kbps, double rebuffer_s);
+    /// while downloading it, and returns the chunk's terms. Skipped chunks
+    /// (bitrate 0) play q(0), and a transition through 0 counts as a switch.
+    ChunkTerms add_chunk(double bitrate_kbps, double rebuffer_s);
 
     void set_startup_delay(double seconds);
 
@@ -80,6 +91,8 @@ class QoeModel {
     double total_rebuffer_s() const { return rebuffer_sum_; }
     std::size_t rebuffer_events() const { return rebuffer_events_; }
     std::size_t chunk_count() const { return chunks_; }
+    /// The chunks' ChunkTerms::qoe() summed in chunk order.
+    double chunk_qoe_sum() const { return chunk_qoe_sum_; }
 
    private:
     const QoeModel* model_;
@@ -91,6 +104,7 @@ class QoeModel {
     double prev_quality_ = 0.0;
     bool has_prev_ = false;
     std::size_t chunks_ = 0;
+    double chunk_qoe_sum_ = 0.0;
   };
 
  private:

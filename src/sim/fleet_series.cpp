@@ -8,6 +8,7 @@
 #include "obs/metrics.hpp"
 #include "obs/names.hpp"
 #include "util/json.hpp"
+#include "util/stats.hpp"
 
 namespace abr::sim {
 
@@ -55,18 +56,6 @@ void FleetSeries::note_active(double t_s, std::size_t active) {
   bucket.peak_active = std::max(bucket.peak_active, active);
 }
 
-namespace {
-
-/// Nearest-rank percentile over a sorted sample vector.
-double percentile_sorted(const std::vector<double>& sorted, double q) {
-  if (sorted.empty()) return 0.0;
-  const auto rank = static_cast<std::size_t>(
-      std::ceil(q * static_cast<double>(sorted.size())));
-  return sorted[std::min(rank == 0 ? 0 : rank - 1, sorted.size() - 1)];
-}
-
-}  // namespace
-
 std::string FleetSeries::to_json() const {
   std::string out = "{";
   out += "\"bucket_s\":" + util::json_number(config_.bucket_s);
@@ -80,6 +69,9 @@ std::string FleetSeries::to_json() const {
     first = false;
     std::vector<double> sorted = bucket.qoe_samples;
     std::sort(sorted.begin(), sorted.end());
+    const auto qoe_percentile = [&sorted](double q) {
+      return util::json_number(util::nearest_rank_percentile(sorted, q));
+    };
     const double played =
         static_cast<double>(bucket.chunks) * config_.chunk_duration_s;
     const double denom = played + bucket.rebuffer_s;
@@ -88,9 +80,9 @@ std::string FleetSeries::to_json() const {
                              config_.bucket_s);
     out += ",\"chunks\":" + std::to_string(bucket.chunks);
     out += ",\"sessions_active\":" + std::to_string(bucket.peak_active);
-    out += ",\"qoe_p50\":" + util::json_number(percentile_sorted(sorted, 0.50));
-    out += ",\"qoe_p90\":" + util::json_number(percentile_sorted(sorted, 0.90));
-    out += ",\"qoe_p99\":" + util::json_number(percentile_sorted(sorted, 0.99));
+    out += ",\"qoe_p50\":" + qoe_percentile(0.50);
+    out += ",\"qoe_p90\":" + qoe_percentile(0.90);
+    out += ",\"qoe_p99\":" + qoe_percentile(0.99);
     out += ",\"rebuffer_s\":" + util::json_number(bucket.rebuffer_s);
     out += ",\"rebuffer_ratio\":" +
            util::json_number(denom > 0.0 ? bucket.rebuffer_s / denom : 0.0);

@@ -178,6 +178,21 @@ FetchOutcome fetch_under_monitor(ChunkSource& source, PlayerKernel& kernel,
 
 }  // namespace
 
+Playback::Playback(const SessionConfig& config) : config_(&config) {
+  if (config.buffer_capacity_s <= 0.0) {
+    throw std::invalid_argument("SessionConfig: non-positive buffer capacity");
+  }
+  if (config.startup_policy == StartupPolicy::kFixedDelay &&
+      config.fixed_startup_delay_s < 0.0) {
+    throw std::invalid_argument("SessionConfig: negative fixed startup delay");
+  }
+  if (config.startup_policy == StartupPolicy::kBufferThreshold &&
+      config.startup_buffer_threshold_s > config.buffer_capacity_s) {
+    throw std::invalid_argument(
+        "SessionConfig: startup threshold above buffer capacity");
+  }
+}
+
 PlayerKernel::PlayerKernel(const media::VideoManifest& manifest,
                            const qoe::QoeModel& qoe,
                            const SessionConfig& config,
@@ -197,7 +212,8 @@ PlayerKernel::PlayerKernel(const media::VideoManifest& manifest,
       // Skip the clock reads entirely when nobody is listening.
       time_decisions_(obs::MetricsRegistry::global().enabled() ||
                       tracer_ != nullptr),
-      qoe_acc_(qoe) {
+      qoe_acc_(qoe),
+      playback_(config) {
   controller.reset();
   history_kbps_.reserve(manifest.chunk_count());
   result_.chunks.reserve(manifest.chunk_count());
@@ -211,13 +227,6 @@ void PlayerKernel::seat_in_fleet(std::size_t index, double join_s,
   series_ = series;
 }
 
-double PlayerKernel::drain(double drain_s) {
-  assert(drain_s >= 0.0);
-  const double stall = std::max(0.0, drain_s - buffer_s_);
-  buffer_s_ = std::max(0.0, buffer_s_ - drain_s);
-  return stall;
-}
-
 std::size_t PlayerKernel::decide(double now_s, double buffer_s) {
   const std::size_t k = chunks_done_;
   AbrState state;
@@ -228,7 +237,7 @@ std::size_t PlayerKernel::decide(double now_s, double buffer_s) {
   state.throughput_history_kbps = history_kbps_;
   state.prediction_kbps = predictions_;
   state.now_s = now_s;
-  state.playback_started = playing_;
+  state.playback_started = playback_.playing();
   std::size_t level = 0;
   if (time_decisions_) {
     const auto t0 = std::chrono::steady_clock::now();
@@ -258,15 +267,9 @@ std::size_t PlayerKernel::begin(double now_s,
   const std::size_t k = chunks_done_;
   assert(k < manifest.chunk_count());
 
-  // Fixed-delay startup: playback may begin while the player idles or
-  // between downloads.
-  if (!playing_ && config_->startup_policy == StartupPolicy::kFixedDelay &&
-      now_s >= config_->fixed_startup_delay_s) {
-    playing_ = true;
-    startup_delay_s_ = config_->fixed_startup_delay_s;
-    // Time already elapsed past Ts was play time.
-    drain(now_s - config_->fixed_startup_delay_s);
-  }
+  // Fixed-delay startup: playback may begin while the player idles between
+  // downloads. A stall that start causes is charged to this chunk.
+  const double idle_stall = playback_.start_if_due(now_s);
 
   // 1. Predict.
   predict::PredictionInput input;
@@ -280,7 +283,7 @@ std::size_t PlayerKernel::begin(double now_s,
 
   // 2. Decide. Snapshot the decision telemetry now — the pointee is
   // invalidated by the next decide()/reset().
-  const std::size_t level = decide(now_s, buffer_s_);
+  const std::size_t level = decide(now_s, playback_.buffer_s());
   telemetry_ = DecisionTelemetry{};
   if (const DecisionTelemetry* t = controller_->last_decision()) {
     telemetry_ = *t;
@@ -293,7 +296,8 @@ std::size_t PlayerKernel::begin(double now_s,
   record.bitrate_kbps = manifest.bitrate_kbps(level);
   record.size_kilobits = manifest.chunk_kilobits(k, level);
   record.start_s = now_s;
-  record.buffer_before_s = buffer_s_;
+  record.buffer_before_s = playback_.buffer_s();
+  record.rebuffer_s = idle_stall;
   record.predicted_kbps = predictions_.empty() ? 0.0 : predictions_.front();
   return level;
 }
@@ -301,7 +305,6 @@ std::size_t PlayerKernel::begin(double now_s,
 ChunkWait PlayerKernel::complete(const FetchOutcome& outcome, double end_s,
                                  double played_fraction) {
   const SessionConfig& config = *config_;
-  const double chunk_duration = manifest_->chunk_duration_s();
   ChunkRecord& record = result_.chunks.back();
   const std::size_t k = record.index;
   predictions_ = {};  // served only this chunk's decisions
@@ -326,68 +329,21 @@ ChunkWait PlayerKernel::complete(const FetchOutcome& outcome, double end_s,
   record.throughput_kbps =
       skipped ? 0.0 : outcome.kilobits / outcome.duration_s;
 
-  // 4. Buffer dynamics during the download (Eq. (3)).
-  double rebuffer_s = 0.0;
-  if (playing_) {
-    rebuffer_s = drain(outcome.duration_s);
-  } else if (config.startup_policy == StartupPolicy::kFixedDelay &&
-             end_s > config.fixed_startup_delay_s) {
-    // Playback started mid-download.
-    playing_ = true;
-    startup_delay_s_ = config.fixed_startup_delay_s;
-    rebuffer_s = drain(end_s - config.fixed_startup_delay_s);
-  }
-  if (skipped) {
-    // The chunk never arrived: the viewer loses its whole duration, which
-    // Eq. (5) charges as a stall (skip-with-rebuffer accounting).
-    rebuffer_s += chunk_duration;
-  } else if (record.partial) {
-    // Partial chunk: the delivered prefix plays; the missing suffix is a
-    // stall Eq. (5) pays for.
-    buffer_s_ += played_fraction * chunk_duration;
-    rebuffer_s += (1.0 - played_fraction) * chunk_duration;
-  } else {
-    buffer_s_ += chunk_duration;
-  }
+  // 4. Eq. (3) and the startup on completion. A skipped chunk's whole
+  // duration is a stall (skip-with-rebuffer), a partial one's missing suffix.
+  const double rebuffer_s =
+      record.rebuffer_s +
+      playback_.download(outcome.duration_s, end_s,
+                         manifest_->chunk_duration_s(),
+                         skipped ? 0.0 : played_fraction);
 
-  // 5. Startup transitions that trigger on chunk completion. A skipped
-  // chunk delivers nothing, so it cannot start playback.
-  if (!playing_ && !skipped) {
-    switch (config.startup_policy) {
-      case StartupPolicy::kFirstChunk:
-        playing_ = true;
-        startup_delay_s_ = end_s;
-        break;
-      case StartupPolicy::kBufferThreshold:
-        if (buffer_s_ >= config.startup_buffer_threshold_s) {
-          playing_ = true;
-          startup_delay_s_ = end_s;
-        }
-        break;
-      case StartupPolicy::kFixedDelay:
-        break;  // handled by the clock checks above
-    }
-  }
-
-  // 6. Buffer-full wait (Eq. (4)): drain the excess before the next
-  // request. If playback has not begun (large fixed delay), idle until it
-  // does, then drain.
-  ChunkWait wait;
-  if (buffer_s_ > config.buffer_capacity_s) {
-    if (!playing_) {
-      assert(config.startup_policy == StartupPolicy::kFixedDelay);
-      wait.idle_s = std::max(0.0, config.fixed_startup_delay_s - end_s);
-      playing_ = true;
-      startup_delay_s_ = config.fixed_startup_delay_s;
-    }
-    wait.drain_s = buffer_s_ - config.buffer_capacity_s;
-    buffer_s_ = config.buffer_capacity_s;
-  }
+  // 5. Buffer-full wait (Eq. (4)).
+  const ChunkWait wait = playback_.wait(end_s);
   const double wait_s = wait.idle_s + wait.drain_s;
 
   record.rebuffer_s = rebuffer_s;
   record.wait_s = wait_s;
-  record.buffer_after_s = buffer_s_;
+  record.buffer_after_s = playback_.buffer_s();
   ++chunks_done_;
 
   SessionInstruments& metrics = instruments();
@@ -405,7 +361,7 @@ ChunkWait PlayerKernel::complete(const FetchOutcome& outcome, double end_s,
     metrics.resumes.increment(static_cast<double>(record.resumes));
   }
   metrics.download_s.observe(record.download_s);
-  metrics.buffer_s.set(buffer_s_);
+  metrics.buffer_s.set(record.buffer_after_s);
   if (tracer_ != nullptr) {
     const double start_s = record.start_s + trace_offset_s_;
     const double download_end_s = start_s + record.download_s;
@@ -434,9 +390,9 @@ ChunkWait PlayerKernel::complete(const FetchOutcome& outcome, double end_s,
     if (record.partial) {
       tracer_->instant("chunk_partial", "net", start_s, track_);
     }
-    if (playing_ && !playback_start_emitted_) {
+    if (playback_.playing() && !playback_start_emitted_) {
       tracer_->instant("playback_start", "playback",
-                       startup_delay_s_ + trace_offset_s_, track_);
+                       playback_.startup_delay_s() + trace_offset_s_, track_);
       playback_start_emitted_ = true;
     }
     const std::string counter =
@@ -445,27 +401,14 @@ ChunkWait PlayerKernel::complete(const FetchOutcome& outcome, double end_s,
     tracer_->counter(counter, start_s, record.buffer_before_s);
     tracer_->counter(counter,
                      (end_s + wait.idle_s) + wait.drain_s + trace_offset_s_,
-                     buffer_s_);
+                     record.buffer_after_s);
   }
 
-  qoe_acc_.add_chunk(record.bitrate_kbps, rebuffer_s);
+  const qoe::ChunkTerms terms =
+      qoe_acc_.add_chunk(record.bitrate_kbps, rebuffer_s);
   obs::Journal* journal = config.journal;
   if (journal != nullptr || series_ != nullptr) {
-    // Per-chunk Eq. (5) attribution with the exact Accumulator semantics:
-    // skipped chunks contribute q(0), transitions through 0 count as
-    // switches, and every stalled chunk pays the per-event charge.
-    const qoe::QoeWeights& weights = qoe_->weights();
-    const double q = qoe_->quality(record.bitrate_kbps);
-    const double switch_penalty =
-        attributed_has_prev_
-            ? weights.lambda * std::abs(q - attributed_prev_quality_)
-            : 0.0;
-    const double rebuffer_charge =
-        weights.mu * rebuffer_s + (rebuffer_s > 0.0 ? weights.mu_event : 0.0);
-    const double qoe_chunk = q - switch_penalty - rebuffer_charge;
-    attributed_prev_quality_ = q;
-    attributed_has_prev_ = true;
-    attributed_qoe_ += qoe_chunk;
+    const double qoe_chunk = terms.qoe();
     if (series_ != nullptr) {
       series_->record_chunk(end_s + trace_offset_s_, record, qoe_chunk);
     }
@@ -483,11 +426,11 @@ ChunkWait PlayerKernel::complete(const FetchOutcome& outcome, double end_s,
       entry.buffer_after_s = record.buffer_after_s;
       entry.rebuffer_s = rebuffer_s;
       entry.wait_s = wait_s;
-      entry.qoe_utility = q;
-      entry.qoe_switch_penalty = switch_penalty;
-      entry.qoe_rebuffer_charge = rebuffer_charge;
+      entry.qoe_utility = terms.utility;
+      entry.qoe_switch_penalty = terms.switch_penalty;
+      entry.qoe_rebuffer_charge = terms.rebuffer_charge;
       entry.qoe_chunk = qoe_chunk;
-      entry.qoe_cumulative = attributed_qoe_;
+      entry.qoe_cumulative = qoe_acc_.chunk_qoe_sum();
       entry.predicted_kbps = record.predicted_kbps;
       entry.effective_kbps = telemetry_.effective_forecast_kbps;
       entry.error_window = telemetry_.error_window;
@@ -518,17 +461,15 @@ ChunkWait PlayerKernel::complete(const FetchOutcome& outcome, double end_s,
 
 SessionResult PlayerKernel::finish(double end_s) {
   const SessionConfig& config = *config_;
-  // A fixed startup delay later than the whole download still counts.
-  if (!playing_ && config.startup_policy == StartupPolicy::kFixedDelay) {
-    startup_delay_s_ = config.fixed_startup_delay_s;
-  }
+  playback_.finish();
+  const double startup_delay_s = playback_.startup_delay_s();
 
   instruments().sessions.increment();
   SessionResult& result = result_;
-  result.startup_delay_s = startup_delay_s_;
+  result.startup_delay_s = startup_delay_s;
   result.session_duration_s = end_s;
   if (config.include_startup_in_qoe) {
-    qoe_acc_.set_startup_delay(startup_delay_s_);
+    qoe_acc_.set_startup_delay(startup_delay_s);
   }
   result.total_rebuffer_s = qoe_acc_.total_rebuffer_s();
   result.qoe = qoe_acc_.total();
@@ -583,7 +524,7 @@ SessionResult PlayerKernel::finish(double end_s) {
         weights.mu * qoe_acc_.total_rebuffer_s() +
         weights.mu_event * static_cast<double>(qoe_acc_.rebuffer_events());
     entry.qoe_startup_charge = config.include_startup_in_qoe
-                                   ? weights.mu_startup * startup_delay_s_
+                                   ? weights.mu_startup * startup_delay_s
                                    : 0.0;
     entry.average_bitrate_kbps = result.average_bitrate_kbps;
     entry.rebuffer_s = result.total_rebuffer_s;
@@ -604,18 +545,7 @@ SessionResult PlayerKernel::finish(double end_s) {
 PlayerSession::PlayerSession(const media::VideoManifest& manifest,
                              const qoe::QoeModel& qoe, SessionConfig config)
     : manifest_(&manifest), qoe_(&qoe), config_(config) {
-  if (config_.buffer_capacity_s <= 0.0) {
-    throw std::invalid_argument("SessionConfig: non-positive buffer capacity");
-  }
-  if (config_.startup_policy == StartupPolicy::kFixedDelay &&
-      config_.fixed_startup_delay_s < 0.0) {
-    throw std::invalid_argument("SessionConfig: negative fixed startup delay");
-  }
-  if (config_.startup_policy == StartupPolicy::kBufferThreshold &&
-      config_.startup_buffer_threshold_s > config_.buffer_capacity_s) {
-    throw std::invalid_argument(
-        "SessionConfig: startup threshold above buffer capacity");
-  }
+  Playback{config_};  // rejects a config no player can run, before run()
 }
 
 SessionResult PlayerSession::run(ChunkSource& source,

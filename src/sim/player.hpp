@@ -1,5 +1,7 @@
 #pragma once
 
+#include <algorithm>
+#include <cassert>
 #include <string>
 #include <vector>
 
@@ -169,16 +171,121 @@ struct ChunkWait {
   double drain_s = 0.0;  ///< draining the buffer's excess over Bmax
 };
 
+/// The player's playback state -- the buffer level, whether playback has
+/// started, and the startup delay -- stepped through Eqs. (3)-(4) under the
+/// session's startup policy and Bmax. The one copy of those equations:
+/// PlayerKernel steps it for PlayerSession and the shared-link fleet, and
+/// core::OfflineOptimalPlanner for QoE(OPT), so the optimum plays chunks
+/// exactly as the player does. Times are on the session's clock.
+class Playback {
+ public:
+  /// An idle player with an empty buffer. Throws std::invalid_argument for
+  /// a config no player can run: Bmax <= 0, a negative fixed startup delay,
+  /// or a startup threshold above Bmax. `config` must outlive every copy.
+  explicit Playback(const SessionConfig& config);
+
+  double buffer_s() const { return buffer_s_; }
+  bool playing() const { return playing_; }
+  double startup_delay_s() const { return startup_delay_s_; }  ///< Ts
+
+  /// The fixed-delay start while idle before a request at `now_s`: past Ts,
+  /// playback started at Ts and has drained the buffer since. Returns the
+  /// stall.
+  double start_if_due(double now_s) {
+    double stall = 0.0;
+    if (!playing_ && config_->startup_policy == StartupPolicy::kFixedDelay &&
+        now_s >= config_->fixed_startup_delay_s) {
+      start(config_->fixed_startup_delay_s);
+      stall = drain(now_s - startup_delay_s_);
+    }
+    return stall;
+  }
+
+  /// Eq. (3) for a download of `download_s` that ended at `end_s`: playback
+  /// drains the buffer (from Ts if a fixed delay passes mid-download), then
+  /// `played_fraction` of the chunk's `chunk_s` seconds is appended (1 for a
+  /// whole chunk, 0 for a skipped one) and the rest is a stall. A chunk that
+  /// delivered anything may start playback, as the policy says. Returns the
+  /// stall.
+  double download(double download_s, double end_s, double chunk_s,
+                  double played_fraction = 1.0) {
+    const SessionConfig& config = *config_;
+    double stall = 0.0;
+    if (playing_) {
+      stall = drain(download_s);
+    } else if (config.startup_policy == StartupPolicy::kFixedDelay &&
+               end_s > config.fixed_startup_delay_s) {
+      start(config.fixed_startup_delay_s);
+      stall = drain(end_s - startup_delay_s_);
+    }
+    buffer_s_ += played_fraction * chunk_s;
+    stall += (1.0 - played_fraction) * chunk_s;
+    if (!playing_ && played_fraction > 0.0 &&
+        (config.startup_policy == StartupPolicy::kFirstChunk ||
+         (config.startup_policy == StartupPolicy::kBufferThreshold &&
+          buffer_s_ >= config.startup_buffer_threshold_s))) {
+      start(end_s);
+    }
+    return stall;
+  }
+
+  /// Eq. (4) after a chunk that completed at `end_s`: the buffer's excess
+  /// over Bmax drains before the next request; a player that has not
+  /// started (a fixed delay after `end_s`) first idles until Ts and starts.
+  ChunkWait wait(double end_s) {
+    const SessionConfig& config = *config_;
+    ChunkWait wait;
+    if (buffer_s_ > config.buffer_capacity_s) {
+      if (!playing_) {
+        assert(config.startup_policy == StartupPolicy::kFixedDelay);
+        wait.idle_s = std::max(0.0, config.fixed_startup_delay_s - end_s);
+        start(config.fixed_startup_delay_s);
+      }
+      wait.drain_s = buffer_s_ - config.buffer_capacity_s;
+      buffer_s_ = config.buffer_capacity_s;
+    }
+    return wait;
+  }
+
+  /// The late fixed-delay rule after the last chunk: a fixed delay later
+  /// than the whole download still counts, and playback starts at Ts.
+  void finish() {
+    if (!playing_ && config_->startup_policy == StartupPolicy::kFixedDelay) {
+      start(config_->fixed_startup_delay_s);
+    }
+  }
+
+ private:
+  void start(double startup_delay_s) {
+    playing_ = true;
+    startup_delay_s_ = startup_delay_s;
+  }
+
+  /// Plays `seconds` from the buffer; returns the stall.
+  double drain(double seconds) {
+    assert(seconds >= 0.0);
+    const double stall = std::max(0.0, seconds - buffer_s_);
+    buffer_s_ = std::max(0.0, buffer_s_ - seconds);
+    return stall;
+  }
+
+  const SessionConfig* config_;
+  double buffer_s_ = 0.0;
+  double startup_delay_s_ = 0.0;
+  bool playing_ = false;
+};
+
 /// One player's per-chunk step, Eqs. (1)-(5) of the paper, written once for
-/// every engine. PlayerSession runs begin() -> its ChunkSource's fetch ->
-/// complete() -> the source's wait for each chunk; the shared-link fleet
-/// calls the same halves at its event times. Every time passed in is on the
-/// session's own clock (seconds since it began), so a fleet player's
-/// records read exactly like a single session's.
+/// every engine; the buffer dynamics are its Playback's. PlayerSession runs
+/// begin() -> its ChunkSource's fetch -> complete() -> the source's wait for
+/// each chunk; the shared-link fleet calls the same halves at its event
+/// times. Every time passed in is on the session's own clock (seconds since
+/// it began), so a fleet player's records read exactly like a single
+/// session's.
 class PlayerKernel {
  public:
-  /// Starts a session: resets the controller. All referents must outlive
-  /// the kernel.
+  /// Starts a session: resets the controller. Throws std::invalid_argument
+  /// for a config Playback rejects. All referents must outlive the kernel.
   PlayerKernel(const media::VideoManifest& manifest, const qoe::QoeModel& qoe,
                const SessionConfig& config, BitrateController& controller,
                predict::ThroughputPredictor& predictor);
@@ -206,12 +313,13 @@ class PlayerKernel {
   /// complete().
   ChunkRecord& open_record() { return result_.chunks.back(); }
 
-  bool playing() const { return playing_; }
+  bool playing() const { return playback_.playing(); }
 
-  /// Complete half: the transfer of the open chunk ended at `end_s`. Applies
-  /// Eq. (3), startup, Eq. (4), the Eq. (5) accumulation, metrics, trace and
-  /// journal, and returns the wait before the next request. A partial chunk
-  /// plays `played_fraction` of its duration.
+  /// Complete half: the transfer of the open chunk ended at `end_s`. Steps
+  /// the Playback through Eq. (3), startup and Eq. (4), then runs the
+  /// Eq. (5) accumulation, metrics, trace and journal, and returns the wait
+  /// before the next request. A partial chunk plays `played_fraction` of its
+  /// duration.
   ChunkWait complete(const FetchOutcome& outcome, double end_s,
                      double played_fraction = 1.0);
 
@@ -220,9 +328,6 @@ class PlayerKernel {
   SessionResult finish(double end_s);
 
  private:
-  /// Stall incurred by `drain_s` of playback; drains the buffer.
-  double drain(double drain_s);
-
   const media::VideoManifest* manifest_;
   const qoe::QoeModel* qoe_;
   const SessionConfig* config_;
@@ -238,18 +343,11 @@ class PlayerKernel {
   bool playback_start_emitted_ = false;
 
   qoe::QoeModel::Accumulator qoe_acc_;
-  // Per-chunk Eq. (5) attribution (journal, fleet series): mirrors the
-  // Accumulator's smoothness memory so the charges sum to the session total.
-  double attributed_prev_quality_ = 0.0;
-  bool attributed_has_prev_ = false;
-  double attributed_qoe_ = 0.0;
+  Playback playback_;
 
   std::vector<double> history_kbps_;
   std::vector<double> predictions_;  ///< the open chunk's forecasts
   DecisionTelemetry telemetry_;      ///< the open chunk's decision
-  double buffer_s_ = 0.0;
-  bool playing_ = false;
-  double startup_delay_s_ = 0.0;
   std::size_t prev_level_ = 0;
   bool has_prev_ = false;
   std::size_t chunks_done_ = 0;

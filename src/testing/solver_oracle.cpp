@@ -18,19 +18,42 @@ core::HorizonSolution exhaustive_reference(
                manifest.chunk_count() - problem.first_chunk);
 
   // The forecasts HorizonSolver::solve rejects: a plan scored from an
-  // infinite download time has no well-defined objective.
+  // infinite download time, or from steps whose worst magnitudes (the best
+  // |quality| and the largest switch, plus mu_event and mu times the longest
+  // download) do not sum to a finite total, has no well-defined objective.
+  double step_scale = 0.0;
+  double max_switch = 0.0;
+  for (std::size_t level = 0; level < levels; ++level) {
+    const double q = qoe.quality(manifest.bitrate_kbps(level));
+    step_scale = std::max(step_scale, std::abs(q));
+    for (std::size_t prev = 0; prev < levels; ++prev) {
+      const double p = qoe.quality(manifest.bitrate_kbps(prev));
+      max_switch = std::max(max_switch, w.lambda * std::abs(q - p));
+    }
+  }
+  step_scale += max_switch;
+  double worst_total = 0.0;
   for (std::size_t depth = 0; depth < horizon; ++depth) {
     const double forecast = problem.predicted_kbps[depth];
     if (!(forecast > 0.0)) {
       throw std::invalid_argument("HorizonProblem: non-positive forecast");
     }
     const std::size_t chunk = problem.first_chunk + depth;
+    double longest = 0.0;
     for (std::size_t level = 0; level < levels; ++level) {
-      if (!std::isfinite(manifest.chunk_kilobits(chunk, level) / forecast)) {
+      const double download_s =
+          manifest.chunk_kilobits(chunk, level) / forecast;
+      if (!std::isfinite(download_s)) {
         throw std::invalid_argument(
             "HorizonProblem: forecast makes a download time infinite");
       }
+      longest = std::max(longest, download_s);
     }
+    worst_total += step_scale + w.mu_event + w.mu * longest;
+  }
+  if (!std::isfinite(worst_total)) {
+    throw std::invalid_argument(
+        "HorizonProblem: forecast makes the rebuffer penalty overflow");
   }
 
   core::HorizonSolution best;

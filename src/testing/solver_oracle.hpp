@@ -15,7 +15,8 @@ namespace abr::testing {
 /// caller can demand `==` on levels and objective, not a tolerance. The
 /// warm-start hint is ignored and nodes_expanded stays 0. Throws
 /// std::invalid_argument on a forecast solve() rejects: one that is not
-/// positive or that makes some rung's download time infinite.
+/// positive, that makes some rung's download time infinite, or whose
+/// rebuffer penalty overflows (HorizonProblem::predicted_kbps).
 core::HorizonSolution exhaustive_reference(const media::VideoManifest& manifest,
                                            const qoe::QoeModel& qoe,
                                            const core::HorizonProblem& problem);

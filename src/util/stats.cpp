@@ -131,6 +131,13 @@ std::string Cdf::summary() const {
   return out.str();
 }
 
+double nearest_rank_percentile(std::span<const double> sorted, double q) {
+  if (sorted.empty()) return 0.0;
+  const auto rank = static_cast<std::size_t>(
+      std::ceil(q * static_cast<double>(sorted.size())));
+  return sorted[std::min(rank == 0 ? 0 : rank - 1, sorted.size() - 1)];
+}
+
 double harmonic_mean(std::span<const double> values) {
   if (values.empty()) return 0.0;
   double reciprocal_sum = 0.0;

@@ -78,6 +78,10 @@ class Cdf {
   mutable bool sorted_ = false;
 };
 
+/// Nearest-rank percentile, q in [0, 1], of an ascending sample: the
+/// ceil(q * n)-th smallest value (the smallest for q = 0); 0 when empty.
+double nearest_rank_percentile(std::span<const double> sorted, double q);
+
 /// Harmonic mean of the values; values must be positive. Returns 0 for an
 /// empty span. This is the throughput estimator used by RB / FESTIVE / MPC
 /// (Section 7.1.2 of the paper): it is robust to single-chunk outliers.

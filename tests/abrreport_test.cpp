@@ -57,19 +57,6 @@ TEST(ParseFlatJson, RejectsMalformedInput) {
   EXPECT_FALSE(parse_flat_json(R"({"a":"\q"})", object, error));
 }
 
-TEST(Percentile, NearestRank) {
-  EXPECT_DOUBLE_EQ(percentile({}, 0.5), 0.0);
-  EXPECT_DOUBLE_EQ(percentile({7.0}, 0.5), 7.0);
-  EXPECT_DOUBLE_EQ(percentile({3.0, 1.0, 2.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0,
-                               10.0},
-                              0.5),
-                   5.0);
-  EXPECT_DOUBLE_EQ(percentile({3.0, 1.0, 2.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0,
-                               10.0},
-                              0.9),
-                   9.0);
-}
-
 std::istringstream sample_journal() {
   return std::istringstream(
       R"({"type":"chunk","session":"s0","algo":"MPC","chunk":0,"nodes":100,"warm_start":false,"path":"online"}

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "test_helpers.hpp"
@@ -161,14 +162,21 @@ TEST(HorizonSolver, RejectsInvalidProblems) {
 /// with and without a Workspace) and the exhaustive reference reject it.
 TEST(HorizonSolver, RejectsForecastsWhoseDownloadTimesOverflow) {
   const auto manifest = media::VideoManifest::envivio_default();
-  for (const double mu : {0.0, 3000.0}) {
+  // Download times that overflow (denormal forecasts, any mu), then finite
+  // ones whose rebuffer penalty does (mu = 3000 only): mu times one top-rung
+  // download at 1e-303 kbps, and the sum over the five chunks at 5e-301
+  // kbps, where each chunk's own penalty is still finite.
+  ASSERT_TRUE(std::isfinite(3000.0 * manifest.chunk_kilobits(0, 4) / 5e-301));
+  const std::vector<std::pair<double, std::vector<double>>> cases = {
+      {0.0, {5e-324, 1e-320}}, {3000.0, {5e-324, 1e-320, 1e-303, 5e-301}}};
+  for (const auto& [mu, forecasts] : cases) {
     qoe::QoeWeights weights = qoe::QoeWeights::balanced();
     weights.mu = mu;
     weights.mu_startup = mu;
     const qoe::QoeModel qoe(media::QualityFunction::identity(), weights);
     const HorizonSolver solver(manifest, qoe);
     HorizonSolver::Workspace workspace;
-    for (const double kbps : {5e-324, 1e-320}) {
+    for (const double kbps : forecasts) {
       const std::vector<double> forecast(5, kbps);
       HorizonProblem problem;
       problem.buffer_s = 10.0;
@@ -188,6 +196,21 @@ TEST(HorizonSolver, RejectsForecastsWhoseDownloadTimesOverflow) {
       EXPECT_THROW(solver.solve(problem, workspace), std::invalid_argument);
     }
   }
+  // With mu = 0 the same slow forecasts score finitely and are accepted.
+  const qoe::QoeModel no_stall_penalty(media::QualityFunction::identity(),
+                                       qoe::QoeWeights{1.0, 0.0, 0.0});
+  const HorizonSolver solver(manifest, no_stall_penalty);
+  const std::vector<double> forecast(5, 1e-303);
+  HorizonProblem problem;
+  problem.buffer_s = 10.0;
+  problem.prev_level = 2;
+  problem.has_prev = true;
+  problem.predicted_kbps = forecast;
+  const HorizonSolution solution = solver.solve(problem);
+  EXPECT_TRUE(std::isfinite(solution.objective));
+  EXPECT_EQ(solution.levels,
+            testing::exhaustive_reference(manifest, no_stall_penalty, problem)
+                .levels);
 }
 
 TEST(HorizonSolver, MatchesBruteForceOnRandomInstances) {

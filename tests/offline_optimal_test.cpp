@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "core/algorithms.hpp"
 #include "test_helpers.hpp"
@@ -124,6 +128,76 @@ TEST(OfflineOptimalPlanner, UpperBoundsOnlineAlgorithms) {
           << algorithm_name(algorithm) << " beat OPT on trial " << trial;
     }
   }
+}
+
+/// QoE(OPT) plays chunks exactly as the player does: the discrete plan,
+/// replayed through PlayerSession by a controller that returns its levels,
+/// reports the planner's startup delay and rebuffering bit for bit, and its
+/// QoE up to the order the two sum the Eq. (5) terms in. The last case
+/// starts late: the whole video fits under Bmax and arrives before the
+/// fixed delay, which still counts.
+TEST(OfflineOptimalPlanner, DiscretePlanReplaysThroughPlayerSession) {
+  const auto qoe = testing::balanced_qoe();
+  const auto replay = [&qoe](const media::VideoManifest& manifest,
+                             const sim::SessionConfig& session,
+                             const trace::ThroughputTrace& trace,
+                             const std::string& label) {
+    const OfflineOptimalPlanner planner(manifest, qoe, session,
+                                        discrete_config());
+    const PlanResult plan = planner.plan(trace);
+    const std::vector<double>& ladder = manifest.bitrates_kbps();
+    std::vector<std::size_t> levels;
+    for (const double kbps : plan.bitrates_kbps) {
+      levels.push_back(static_cast<std::size_t>(
+          std::find(ladder.begin(), ladder.end(), kbps) - ladder.begin()));
+    }
+    testing::ScriptedController controller(levels);
+    testing::ConstantPredictor predictor(1000.0);
+    const sim::SessionResult played =
+        sim::simulate(trace, manifest, qoe, session, controller, predictor);
+    EXPECT_EQ(played.startup_delay_s, plan.startup_delay_s) << label;
+    EXPECT_EQ(played.total_rebuffer_s, plan.total_rebuffer_s) << label;
+    EXPECT_NEAR(played.qoe, plan.qoe, 1e-9 * std::abs(plan.qoe)) << label;
+  };
+
+  sim::SessionConfig first_chunk;
+  sim::SessionConfig fixed;
+  fixed.startup_policy = sim::StartupPolicy::kFixedDelay;
+  fixed.fixed_startup_delay_s = 6.0;
+  sim::SessionConfig fixed_no_term = fixed;
+  fixed_no_term.fixed_startup_delay_s = 10.0;
+  fixed_no_term.include_startup_in_qoe = false;
+  sim::SessionConfig threshold;
+  threshold.startup_policy = sim::StartupPolicy::kBufferThreshold;
+  threshold.startup_buffer_threshold_s = 4.0;
+  const std::vector<sim::SessionConfig> sessions = {first_chunk, fixed,
+                                                    fixed_no_term, threshold};
+
+  const auto manifest = media::VideoManifest::envivio_default();
+  util::Rng rng(84);
+  for (int trial = 0; trial < 2; ++trial) {
+    util::Rng fcc_rng = rng.split();
+    util::Rng hsdpa_rng = rng.split();
+    util::Rng markov_rng = rng.split();
+    const trace::ThroughputTrace traces[] = {
+        trace::FccLikeConfig{}.generate(fcc_rng, 320.0),
+        trace::HsdpaLikeConfig{}.generate(hsdpa_rng, 320.0),
+        trace::MarkovConfig{}.generate(markov_rng, 320.0)};
+    for (std::size_t t = 0; t < 3; ++t) {
+      for (std::size_t s = 0; s < sessions.size(); ++s) {
+        replay(manifest, sessions[s], traces[t],
+               "trial " + std::to_string(trial) + " dataset " +
+                   std::to_string(t) + " session " + std::to_string(s));
+      }
+    }
+  }
+
+  sim::SessionConfig late;
+  late.buffer_capacity_s = 40.0;
+  late.startup_policy = sim::StartupPolicy::kFixedDelay;
+  late.fixed_startup_delay_s = 100.0;
+  replay(testing::small_manifest(), late,
+         trace::ThroughputTrace::constant(10000.0, 1000.0), "late start");
 }
 
 TEST(NormalizedQoe, Basics) {

@@ -4,6 +4,8 @@
 
 #include <stdexcept>
 
+#include "core/offline_optimal.hpp"
+#include "sim/multiplayer.hpp"
 #include "test_helpers.hpp"
 #include "trace/generators.hpp"
 #include "util/rng.hpp"
@@ -150,23 +152,39 @@ TEST(PlayerSession, OutOfRangeDecisionThrows) {
                std::logic_error);
 }
 
+/// Every entry point that steps Playback rejects the configs no player can
+/// run: the session, the shared-link fleet and the offline planner.
 TEST(PlayerSession, ConfigValidation) {
   const auto manifest = testing::small_manifest();
   const auto qoe = testing::balanced_qoe();
-  SessionConfig bad;
-  bad.buffer_capacity_s = 0.0;
-  EXPECT_THROW(PlayerSession(manifest, qoe, bad), std::invalid_argument);
-
+  const auto link = trace::ThroughputTrace::constant(5000.0, 1000.0);
+  SessionConfig zero_capacity;
+  zero_capacity.buffer_capacity_s = 0.0;
   SessionConfig threshold;
   threshold.startup_policy = StartupPolicy::kBufferThreshold;
   threshold.startup_buffer_threshold_s = 100.0;
-  EXPECT_THROW(PlayerSession(manifest, qoe, threshold), std::invalid_argument);
-
+  SessionConfig fleet_threshold;  // runs anyway, startup 0, without a check
+  fleet_threshold.startup_policy = StartupPolicy::kBufferThreshold;
+  fleet_threshold.startup_buffer_threshold_s = 40.0;
   SessionConfig negative_delay;
   negative_delay.startup_policy = StartupPolicy::kFixedDelay;
   negative_delay.fixed_startup_delay_s = -1.0;
-  EXPECT_THROW(PlayerSession(manifest, qoe, negative_delay),
-               std::invalid_argument);
+
+  FixedLevelController controller(0);
+  ConstantPredictor predictor(5000.0);
+  BitrateController* controllers[] = {&controller};
+  predict::ThroughputPredictor* predictors[] = {&predictor};
+  for (const SessionConfig& bad :
+       {zero_capacity, threshold, fleet_threshold, negative_delay}) {
+    EXPECT_THROW(PlayerSession(manifest, qoe, bad), std::invalid_argument);
+    EXPECT_THROW(core::OfflineOptimalPlanner(manifest, qoe, bad),
+                 std::invalid_argument);
+    MultiPlayerConfig fleet;
+    fleet.session = bad;
+    EXPECT_THROW(simulate_shared_link(link, manifest, qoe, fleet, controllers,
+                                      predictors),
+                 std::invalid_argument);
+  }
 }
 
 /// Invariants that must hold for any controller on any trace: buffer within

@@ -93,6 +93,19 @@ TEST(Cdf, PercentileInterpolates) {
   EXPECT_DOUBLE_EQ(cdf.percentile(25), 2.5);
 }
 
+TEST(Percentile, NearestRank) {
+  EXPECT_DOUBLE_EQ(nearest_rank_percentile({}, 0.5), 0.0);
+  const std::vector<double> one = {7.0};
+  EXPECT_DOUBLE_EQ(nearest_rank_percentile(one, 0.5), 7.0);
+  const std::vector<double> ten = {1.0, 2.0, 3.0, 4.0, 5.0,
+                                   6.0, 7.0, 8.0, 9.0, 10.0};
+  EXPECT_DOUBLE_EQ(nearest_rank_percentile(ten, 0.5), 5.0);
+  EXPECT_DOUBLE_EQ(nearest_rank_percentile(ten, 0.9), 9.0);
+  EXPECT_DOUBLE_EQ(nearest_rank_percentile(ten, 0.91), 10.0);
+  EXPECT_DOUBLE_EQ(nearest_rank_percentile(ten, 0.0), 1.0);
+  EXPECT_DOUBLE_EQ(nearest_rank_percentile(ten, 1.0), 10.0);
+}
+
 TEST(Cdf, FractionAtOrBelow) {
   Cdf cdf({1.0, 2.0, 3.0, 4.0});
   EXPECT_DOUBLE_EQ(cdf.fraction_at_or_below(0.5), 0.0);

@@ -13,6 +13,7 @@
 #include "obs/exposition.hpp"
 #include "util/checked_parse.hpp"
 #include "util/json.hpp"
+#include "util/stats.hpp"
 
 namespace abr::tools {
 
@@ -154,14 +155,6 @@ ReportSummary load_journal(const std::string& path) {
   return summarize_journal(in);
 }
 
-double percentile(std::vector<double> samples, double q) {
-  if (samples.empty()) return 0.0;
-  std::sort(samples.begin(), samples.end());
-  const auto rank = static_cast<std::size_t>(
-      std::ceil(q * static_cast<double>(samples.size())));
-  return samples[std::min(rank == 0 ? 0 : rank - 1, samples.size() - 1)];
-}
-
 namespace {
 
 void append_row(std::string& out, const char* format, ...)
@@ -197,11 +190,13 @@ std::string render_report(const ReportSummary& summary) {
              "sessions", "QoE mean", "QoE p50", "QoE p90", "kbps", "rebuf_s",
              "switches");
   for (const AlgorithmSummary& algo : summary.algorithms) {
+    std::vector<double> qoe = algo.session_qoe;
+    std::sort(qoe.begin(), qoe.end());
     append_row(out, "%-12s %8zu %10.1f %10.1f %10.1f %10.0f %9.2f %8zu\n",
                algo.algorithm.c_str(), algo.sessions,
                per_session(algo.qoe_sum, algo.sessions),
-               percentile(algo.session_qoe, 0.50),
-               percentile(algo.session_qoe, 0.90),
+               util::nearest_rank_percentile(qoe, 0.50),
+               util::nearest_rank_percentile(qoe, 0.90),
                per_session(algo.bitrate_kbps_sum, algo.sessions),
                per_session(algo.rebuffer_s_sum, algo.sessions), algo.switches);
   }

@@ -81,10 +81,6 @@ ReportSummary summarize_journal(std::istream& in);
 /// Opens and aggregates `path`; throws std::runtime_error when unreadable.
 ReportSummary load_journal(const std::string& path);
 
-/// Nearest-rank percentile (q in [0,1]) over an unsorted sample; 0 when
-/// empty.
-double percentile(std::vector<double> samples, double q);
-
 /// Renders the per-algorithm QoE table (Fig. 9 style), the Eq. (5)
 /// attribution breakdown (Fig. 11 style), and solver/delivery columns.
 std::string render_report(const ReportSummary& summary);
